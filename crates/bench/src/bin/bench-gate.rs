@@ -24,9 +24,6 @@ use std::process::ExitCode;
 const PINNED: &[&str] = &[
     "algo1/full_rescan_100k",
     "algo1/incremental_100k_1dirty",
-    "algo1/monolithic_1m_1k",
-    "algo1/monolithic_1m_sparse_pass",
-    "algo1/monolithic_1m_refresh_pass",
     "algo1/sharded_1m_1k",
     "algo1/sharded_1m_sparse_pass",
     "algo1/sharded_1m_refresh_pass",

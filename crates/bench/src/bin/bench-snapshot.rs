@@ -62,18 +62,15 @@ fn summarize(name: &'static str, mut samples: Vec<u64>) -> Snapshot {
 }
 
 /// A master with `blocks` pending 256 MB migrations spread over `nodes`
-/// slaves (3 replicas each), running the requested Algorithm 1 engine.
-fn loaded_master(blocks: u64, nodes: u32, engine: SchedEngine) -> Master {
+/// slaves (3 replicas each), running the given scheduler configuration.
+fn loaded_master(blocks: u64, nodes: u32, cfg: SchedulerConfig) -> Master {
     let mut m = Master::new(
         MigrationPolicy::Dyrs,
         nodes as usize,
         140.0 * MB as f64,
         Rng::new(1),
     );
-    m.set_sched_config(SchedulerConfig {
-        engine,
-        ..SchedulerConfig::default()
-    });
+    m.set_sched_config(cfg);
     let mut rng = Rng::new(2);
     for n in 0..nodes {
         m.on_heartbeat(
@@ -142,108 +139,86 @@ fn loaded_master_1m(blocks: u64, nodes: u32, cfg: SchedulerConfig) -> Master {
 }
 
 /// The tentpole bar: keeping 1M pending blocks' targets current across a
-/// 1k-node fleet, monolithic incremental engine vs the sharded engine
-/// with the cascade ceiling armed.
+/// 1k-node fleet with the sharded engine (16 shards, cascade ceiling
+/// armed).
 ///
 /// One iteration is one heartbeat *window* — the unit the batched driver
 /// path actually processes: seven sparse ticks (32 spread-out nodes
 /// report estimate drift, everyone else is epsilon-clean) and then one
 /// fleet-wide refresh tick (every node reports a moved estimate — the
 /// estimator-rebaseline / post-recovery-resync case). Each tick ends in
-/// one retarget pass. The window median is the acceptance pair
-/// (`algo1/*_1m_1k`); the per-regime pass medians are also recorded so
-/// the JSON carries the decomposition:
+/// one retarget pass. The window median is the headline
+/// (`algo1/sharded_1m_1k`); the per-regime pass medians are also recorded
+/// so the JSON carries the decomposition:
 ///
-/// * sparse ticks — the sharded plan/walk beats the monolithic global
-///   BTree visit set on constant factors (plan vectors + blocked touch
-///   sweep vs per-visit tree churn and fresh score allocations);
+/// * sparse ticks — the per-shard plan/walk with its blocked touch
+///   sweep;
 /// * refresh ticks — the cascade ceiling trips upfront from O(1) index
-///   bounds and the pass finishes as the sequential reference rescan,
-///   while the monolithic engine builds and drains a 1M-entry visit set.
+///   bounds and the pass finishes as the sequential reference rescan.
 fn bench_algo1_1m() -> Vec<Snapshot> {
     const PENDING: u64 = 1_000_000;
     const NODES: u32 = 1_000;
     const DIRTY: u32 = 32;
     const WINDOWS: usize = 6;
     const SPARSE_TICKS: usize = 7;
-    let run = |names: [&'static str; 3], cfg: SchedulerConfig| -> Vec<Snapshot> {
-        let mut m = loaded_master_1m(PENDING, NODES, cfg);
-        // Re-baseline every node's estimate with locally-known values, so
-        // the benched drift below perturbs each node *around its own
-        // baseline*. Jumping a node to an unrelated estimate would flip
-        // winners wholesale and cascade queue-wide — every tick would be
-        // a de-facto full rescan instead of the two regimes this bench
-        // pins.
-        let mut rng = Rng::new(3);
-        let spbs: Vec<f64> = (0..NODES)
-            .map(|n| {
-                let s = rng.range_f64(0.8, 4.0) / (140.0 * MB as f64);
-                m.on_heartbeat(NodeId(n), s, BLOCK);
-                s
-            })
-            .collect();
-        m.retarget(); // warm: the first pass scores all 1M entries
-        let mut tick = 0u64;
-        let mut windows = Vec::with_capacity(WINDOWS);
-        let mut sparse = Vec::with_capacity(WINDOWS * SPARSE_TICKS);
-        let mut refresh = Vec::with_capacity(WINDOWS);
-        for _ in 0..WINDOWS {
-            let w0 = Instant::now();
-            for _ in 0..SPARSE_TICKS {
-                tick += 1;
-                // 32 spread-out nodes report a hair of estimate drift;
-                // the set shifts each tick so different shards stay
-                // involved.
-                for d in 0..DIRTY {
-                    let node = (d * (NODES / DIRTY) + (tick as u32 % 31)) % NODES;
-                    let drift = spbs[node as usize] * (1.0 + (tick + d as u64) as f64 * 1e-12);
-                    m.on_heartbeat(NodeId(node), drift, BLOCK);
-                }
-                let t = Instant::now();
-                std::hint::black_box(m.retarget().rescored);
-                sparse.push(t.elapsed().as_nanos() as u64);
-            }
-            tick += 1;
-            for n in 0..NODES {
-                let drift = spbs[n as usize] * (1.0 + (tick + n as u64) as f64 * 1e-12);
-                m.on_heartbeat(NodeId(n), drift, BLOCK);
-            }
-            let t = Instant::now();
-            std::hint::black_box(m.retarget().rescored);
-            refresh.push(t.elapsed().as_nanos() as u64);
-            windows.push(w0.elapsed().as_nanos() as u64);
-        }
-        vec![
-            summarize(names[0], windows),
-            summarize(names[1], sparse),
-            summarize(names[2], refresh),
-        ]
-    };
-    let mut out = run(
-        [
-            "algo1/monolithic_1m_1k",
-            "algo1/monolithic_1m_sparse_pass",
-            "algo1/monolithic_1m_refresh_pass",
-        ],
+    let mut m = loaded_master_1m(
+        PENDING,
+        NODES,
         SchedulerConfig {
-            engine: SchedEngine::Incremental,
+            shards: 16,
             ..SchedulerConfig::default()
         },
     );
-    out.extend(run(
-        [
-            "algo1/sharded_1m_1k",
-            "algo1/sharded_1m_sparse_pass",
-            "algo1/sharded_1m_refresh_pass",
-        ],
-        SchedulerConfig {
-            engine: SchedEngine::Sharded,
-            shards: 16,
-            cascade_ceiling: 0.25,
-            ..SchedulerConfig::default()
-        },
-    ));
-    out
+    // Re-baseline every node's estimate with locally-known values, so
+    // the benched drift below perturbs each node *around its own
+    // baseline*. Jumping a node to an unrelated estimate would flip
+    // winners wholesale and cascade queue-wide — every tick would be
+    // a de-facto full rescan instead of the two regimes this bench
+    // pins.
+    let mut rng = Rng::new(3);
+    let spbs: Vec<f64> = (0..NODES)
+        .map(|n| {
+            let s = rng.range_f64(0.8, 4.0) / (140.0 * MB as f64);
+            m.on_heartbeat(NodeId(n), s, BLOCK);
+            s
+        })
+        .collect();
+    m.retarget(); // warm: the first pass scores all 1M entries
+    let mut tick = 0u64;
+    let mut windows = Vec::with_capacity(WINDOWS);
+    let mut sparse = Vec::with_capacity(WINDOWS * SPARSE_TICKS);
+    let mut refresh = Vec::with_capacity(WINDOWS);
+    for _ in 0..WINDOWS {
+        let w0 = Instant::now();
+        for _ in 0..SPARSE_TICKS {
+            tick += 1;
+            // 32 spread-out nodes report a hair of estimate drift;
+            // the set shifts each tick so different shards stay
+            // involved.
+            for d in 0..DIRTY {
+                let node = (d * (NODES / DIRTY) + (tick as u32 % 31)) % NODES;
+                let drift = spbs[node as usize] * (1.0 + (tick + d as u64) as f64 * 1e-12);
+                m.on_heartbeat(NodeId(node), drift, BLOCK);
+            }
+            let t = Instant::now();
+            std::hint::black_box(m.retarget().rescored);
+            sparse.push(t.elapsed().as_nanos() as u64);
+        }
+        tick += 1;
+        for n in 0..NODES {
+            let drift = spbs[n as usize] * (1.0 + (tick + n as u64) as f64 * 1e-12);
+            m.on_heartbeat(NodeId(n), drift, BLOCK);
+        }
+        let t = Instant::now();
+        std::hint::black_box(m.retarget().rescored);
+        refresh.push(t.elapsed().as_nanos() as u64);
+        windows.push(w0.elapsed().as_nanos() as u64);
+    }
+    vec![
+        summarize("algo1/sharded_1m_1k", windows),
+        summarize("algo1/sharded_1m_sparse_pass", sparse),
+        summarize("algo1/sharded_1m_refresh_pass", refresh),
+    ]
 }
 
 /// `on_slave_pull` against the 1M-entry sharded store: per-node bind
@@ -255,9 +230,7 @@ fn bench_pull_bind_1m() -> Snapshot {
         1_000_000,
         NODES,
         SchedulerConfig {
-            engine: SchedEngine::Sharded,
             shards: 16,
-            cascade_ceiling: 0.25,
             ..SchedulerConfig::default()
         },
     );
@@ -272,11 +245,19 @@ fn bench_pull_bind_1m() -> Snapshot {
     )
 }
 
+/// The paper-shaped full rescan on every pass.
+fn reference() -> SchedulerConfig {
+    SchedulerConfig {
+        engine: SchedEngine::Reference,
+        ..SchedulerConfig::default()
+    }
+}
+
 fn bench_retarget() -> Snapshot {
     // The paper's §III-D scalability bar: 50 GB pending = 200 blocks.
     // Pinned to the reference engine: with the incremental one, every
     // warm iteration hits the empty-dirty skip and times nothing.
-    let mut m = loaded_master(200, 7, SchedEngine::Reference);
+    let mut m = loaded_master(200, 7, reference());
     summarize(
         "algo1/retarget_50GB_pending",
         sample(50, || {
@@ -286,14 +267,15 @@ fn bench_retarget() -> Snapshot {
     )
 }
 
-/// The 100k-pending scheduler pair: full rescan vs the incremental pass
-/// with exactly one dirty node per iteration. The acceptance bar is the
-/// incremental median ≥10× below the full-rescan median.
+/// The 100k-pending scheduler pair: full rescan vs the default engine's
+/// incremental pass with exactly one dirty node per iteration. The
+/// acceptance bar is the incremental median ≥10× below the full-rescan
+/// median.
 fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
     const PENDING: u64 = 100_000;
     const NODES: u32 = 100;
     let full = {
-        let mut m = loaded_master(PENDING, NODES, SchedEngine::Reference);
+        let mut m = loaded_master(PENDING, NODES, reference());
         summarize(
             "algo1/full_rescan_100k",
             sample(12, || {
@@ -302,7 +284,7 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
         )
     };
     let incremental = {
-        let mut m = loaded_master(PENDING, NODES, SchedEngine::Incremental);
+        let mut m = loaded_master(PENDING, NODES, SchedulerConfig::default());
         let spb = 1.0 / (140.0 * MB as f64);
         m.on_heartbeat(NodeId(0), spb, BLOCK);
         m.retarget(); // warm: first pass scores everything
@@ -329,7 +311,7 @@ fn bench_algo1_scaling() -> (Snapshot, Snapshot) {
 fn bench_pull_bind() -> (Snapshot, Snapshot) {
     const NODES: u32 = 40;
     let run = |name: &'static str, pending: u64| -> Snapshot {
-        let mut m = loaded_master(pending, NODES, SchedEngine::Incremental);
+        let mut m = loaded_master(pending, NODES, SchedulerConfig::default());
         m.retarget();
         let mut node = 0u32;
         summarize(

@@ -60,22 +60,22 @@ pub struct DyrsConfig {
     pub tier_policy: dyrs_tiers::TierPolicyKind,
 }
 
-/// Which Algorithm 1 implementation the master's scheduler runs. All
-/// three are decision-identical (asserted by the `sched_equivalence`
-/// proptests); the reference pass exists for differential testing and as
-/// the executable form of the paper's pseudocode.
+/// Which Algorithm 1 implementation the master's scheduler runs. Both
+/// are decision-identical (asserted by the `sched_equivalence`
+/// proptests); the reference pass is the executable form of the paper's
+/// pseudocode, the differential-testing oracle, and the walk the sharded
+/// engine falls back to at its cascade ceiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SchedEngine {
-    /// Dirty-set incremental pass: only entries whose candidate set or
-    /// node trajectories changed since the last pass are rescored.
-    #[default]
-    Incremental,
     /// The paper's full rescan: every pending entry rescored every pass.
     Reference,
-    /// The shard-local incremental pass: per-shard sorted visit lists
-    /// walked through a K-way merge, allocation-free rescoring, and the
-    /// optional cascade cost ceiling (`cascade_ceiling`). Decisions are
-    /// bit-identical to `Incremental` at every shard count.
+    /// The shard-local incremental pass: only entries whose candidate set
+    /// or node trajectories changed since the last pass are rescored,
+    /// from per-shard sorted visit lists walked through a K-way merge
+    /// with allocation-free rescoring. A pass denser than the cascade
+    /// cost ceiling (`cascade_ceiling`) runs the reference walk instead.
+    /// Decisions are bit-identical to `Reference` at every shard count.
+    #[default]
     Sharded,
 }
 
@@ -105,7 +105,9 @@ pub struct SchedulerConfig {
     /// queue, the pass abandons incremental accounting and finishes with
     /// the reference walk (identical decisions by construction; the
     /// switch is recorded via the `sched.cascade_ceiling` counter).
-    /// `0.0` — the default — disables the ceiling.
+    /// The default, `0.25`, sends dense passes (a fleet-wide heartbeat
+    /// round, the first pass over a fresh queue) down the sequential walk
+    /// and keeps sparse ones incremental. `0.0` disables the ceiling.
     #[serde(default)]
     pub cascade_ceiling: f64,
 }
@@ -120,7 +122,7 @@ impl Default for SchedulerConfig {
             engine: SchedEngine::default(),
             spb_epsilon: 0.0,
             shards: default_shards(),
-            cascade_ceiling: 0.0,
+            cascade_ceiling: 0.25,
         }
     }
 }
@@ -308,10 +310,13 @@ mod tests {
     #[test]
     fn scheduler_defaults_are_exact_incremental() {
         let s = DyrsConfig::default().scheduler;
-        assert_eq!(s.engine, SchedEngine::Incremental);
+        assert_eq!(s.engine, SchedEngine::Sharded);
         assert_eq!(s.spb_epsilon, 0.0, "default snapshot is an exact mirror");
-        assert_eq!(s.shards, 1, "default layout is monolithic");
-        assert_eq!(s.cascade_ceiling, 0.0, "ceiling is off by default");
+        assert_eq!(s.shards, 1, "default layout is one shard");
+        assert_eq!(
+            s.cascade_ceiling, 0.25,
+            "dense passes take the reference walk, sparse ones stay incremental"
+        );
     }
 
     #[test]

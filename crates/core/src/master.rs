@@ -508,7 +508,8 @@ impl Master {
     }
 
     /// Select the scheduler engine and dirty-set thresholds (default:
-    /// the incremental engine with an exact snapshot mirror).
+    /// the sharded incremental engine at one shard, with an exact
+    /// snapshot mirror and the cascade ceiling at 0.25).
     pub fn set_sched_config(&mut self, cfg: SchedulerConfig) {
         self.sched.set_config(cfg);
     }
@@ -1104,8 +1105,9 @@ impl Master {
     ///
     /// The heavy lifting lives in [`crate::sched`]: the default
     /// incremental engine rescoring only entries whose candidate set
-    /// changed since the last pass, with the full-rescan reference engine
-    /// selectable via [`crate::config::SchedulerConfig`]. Both produce
+    /// changed since the last pass (and taking the full-rescan walk when
+    /// a pass is dense), with the full-rescan reference engine selectable
+    /// on its own via [`crate::config::SchedulerConfig`]. Both produce
     /// bit-identical decisions; `bench/algo1_*` validates the §III-D
     /// scalability claim (50 GB of pending migrations retargeted in under
     /// a millisecond) for both.

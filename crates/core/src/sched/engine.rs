@@ -1,9 +1,9 @@
-//! The three Algorithm 1 engines: the paper-shaped full rescan
-//! ([`SchedEngine::Reference`]), the dirty-set incremental pass
-//! ([`SchedEngine::Incremental`]), and the shard-local incremental pass
-//! with the cascade cost ceiling ([`SchedEngine::Sharded`]).
+//! The two Algorithm 1 engines: the paper-shaped full rescan
+//! ([`SchedEngine::Reference`]) and the shard-local incremental pass
+//! with the cascade cost ceiling ([`SchedEngine::Sharded`], the
+//! default).
 //!
-//! All three score exclusively from the scheduler's per-node snapshot
+//! Both score exclusively from the scheduler's per-node snapshot
 //! (`snap_spb` / `snap_queued` / `snap_candidate`) with the same winner
 //! rule — the strict minimum over `(est_finish, rank)` with `<` on the
 //! float score — so their decisions are bit-identical, not merely close.
@@ -15,7 +15,7 @@
 //! `spb[n]·queued[n]` and advanced to the winner's score whenever an
 //! entry picks `n`. An entry's candidate score on `n` therefore depends
 //! only on (a) the snapshot values of `n` and (b) the set of *earlier*
-//! queue entries targeted at `n`. The incremental passes exploit the
+//! queue entries targeted at `n`. The incremental pass exploits the
 //! contrapositive: if neither changed since the last pass, the cached
 //! score is still exact.
 //!
@@ -39,9 +39,10 @@
 //! over per-shard queues, and "position" means `(OrderKey, shard, idx)`.
 //! The sharded pass builds one sorted visit plan per shard up front and
 //! walks the plans through the same merge, spilling cascade extensions
-//! into a side set; the scoring arithmetic is character-for-character the
-//! incremental pass's, so the three engines agree bitwise
-//! (`crates/core/tests/sched_equivalence.rs` proves it per pass).
+//! into a side set; its scoring arithmetic is the reference walk's, so
+//! the two engines agree bitwise (`crates/core/tests/sched_equivalence.rs`
+//! proves it per pass, with the ceiling off so the incremental walk
+//! itself is what gets checked).
 //!
 //! # Cascade cost ceiling
 //!
@@ -54,6 +55,13 @@
 //! reference walk recomputes — so the switch costs time, never fidelity.
 //! Each switch bumps the `sched.cascade_ceiling` counter and is flagged
 //! in the pass's provenance via [`RetargetStats::ceiling_hits`].
+//!
+//! At the default ceiling (0.25) a pass that rescores most of the queue
+//! — the first pass over a fresh queue, or half a 1k-node fleet
+//! heartbeating with replica sets that cover every entry — is seen to be
+//! dense from the O(dirty) index sizes alone and runs the sequential
+//! walk, which rewrites score buffers in place; sparse passes keep the
+//! incremental plan.
 
 use super::{Entry, OrderKey, RetargetStats, SchedEngine, Scheduler, Slot};
 use dyrs_cluster::NodeId;
@@ -62,7 +70,7 @@ use simkit::SimTime;
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
-/// The winner rule shared by all engines: strictly better score, or an
+/// The winner rule shared by both engines: strictly better score, or an
 /// exact score tie broken by placement rank.
 #[inline]
 fn better(candidate: f64, rank: usize, best: Option<(f64, usize, NodeId, u8)>) -> bool {
@@ -143,7 +151,6 @@ impl Scheduler {
     pub(crate) fn retarget(&mut self, obs: &ObsHandle) -> RetargetStats {
         match self.cfg.engine {
             SchedEngine::Reference => self.pass_reference(obs),
-            SchedEngine::Incremental => self.pass_incremental(obs),
             SchedEngine::Sharded => self.pass_sharded(obs),
         }
     }
@@ -313,149 +320,17 @@ impl Scheduler {
         }
     }
 
-    /// The incremental pass: rescore only entries whose decision inputs
-    /// changed since the last pass (dirty nodes' replica holders, new
-    /// admissions, and cascade-affected entries), in admission order.
-    ///
-    /// This is the monolithic baseline: one global visit set, fresh score
-    /// vectors per entry. The sharded pass below does the same walk with
-    /// per-shard plans and buffer reuse; this one is kept plain so the
-    /// 1M-block benches compare the data-structure work honestly.
-    fn pass_incremental(&mut self, obs: &ObsHandle) -> RetargetStats {
-        let total = self.len() as u64;
-        let recording = obs.is_enabled();
-        if self.steady_state() {
-            // Steady state: nothing moved, every cached decision stands.
-            if recording {
-                obs.retarget_pass(Vec::new(), 0, total);
-            }
-            for r in &mut self.last_shard_rescored {
-                *r = 0;
-            }
-            return RetargetStats {
-                rescored: 0,
-                skipped: total,
-                ceiling_hits: 0,
-            };
-        }
-        // Live finish-time trajectories, maintained only for nodes whose
-        // downstream scores are in motion; `None` means the node's cached
-        // trajectory is still exact and entries read their cached scores.
-        let mut finish: Vec<Option<f64>> = vec![None; self.snap_spb.len()];
-        let mut visit: BTreeSet<(OrderKey, Slot)> = BTreeSet::new();
-        for (s, shard) in self.raw_shards.iter().enumerate() {
-            visit.extend(shard.dirty_entries.iter().map(|&(k, i)| (k, (s, i))));
-        }
-        for &d in &self.dirty_nodes {
-            finish[d] = Some(self.snap_spb[d] * self.snap_queued[d]);
-            for (s, shard) in self.raw_shards.iter().enumerate() {
-                visit.extend(shard.replica_idx[d].iter().map(|&(k, i)| (k, (s, i))));
-            }
-        }
-        let mut rescored = 0u64;
-        for r in &mut self.last_shard_rescored {
-            *r = 0;
-        }
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
-        while let Some((key, slot)) = visit.pop_first() {
-            rescored += 1;
-            self.last_shard_rescored[slot.0] += 1;
-            let mut entry = self.raw_shards[slot.0].raw_pending[slot.1]
-                .take()
-                .expect("visited slots are live");
-            let bytes = entry.migration.bytes as f64;
-            let had_cache = entry.cache_valid;
-            let mut cache = vec![f64::INFINITY; entry.migration.replicas.len()];
-            let mut tier_cache = vec![0u8; entry.migration.replicas.len()];
-            let mut best: Option<(f64, usize, NodeId, u8)> = None;
-            for (rank, &loc) in entry.migration.replicas.iter().enumerate() {
-                let i = loc.index();
-                if !self.snap_candidate[i] {
-                    continue;
-                }
-                let (score, tier) = match finish[i] {
-                    // Node in motion: live trajectory, like the reference.
-                    Some(f) => tier_min(&self.snap_tiers[i], f, self.snap_spb[i] * bytes),
-                    None => {
-                        if had_cache && entry.scores[rank].is_finite() {
-                            // Clean node: the cached tier minimum is exact
-                            // (a tier-set change dirties the node, so a
-                            // clean node's eligible tiers are unchanged).
-                            (entry.scores[rank], entry.tier_of[rank])
-                        } else {
-                            // Never scored here (new admission, or a
-                            // candidacy flip that dirtied the node in any
-                            // case): materialize from the targeted index.
-                            tier_min(
-                                &self.snap_tiers[i],
-                                self.finish_before(i, (key, slot)),
-                                self.snap_spb[i] * bytes,
-                            )
-                        }
-                    }
-                };
-                cache[rank] = score;
-                tier_cache[rank] = tier;
-                if better(score, rank, best) {
-                    best = Some((score, rank, loc, tier));
-                }
-            }
-            let old_target = entry.target;
-            let new_target = best.map(|(_, _, n, _)| n);
-            // A winner moving on or off a *clean* node changes that node's
-            // trajectory for every later queue position: switch the node to
-            // live accounting (seeded from the exact cached state just
-            // before this position) and cascade to its later replica
-            // holders.
-            if old_target != new_target {
-                for moved in [old_target, new_target].into_iter().flatten() {
-                    let i = moved.index();
-                    if finish[i].is_none() {
-                        finish[i] = Some(self.finish_before(i, (key, slot)));
-                        self.for_replicas_after(i, (key, slot), &mut visit);
-                    }
-                }
-            }
-            self.apply_winner(&mut entry, key, slot, best, obs);
-            // Charge the winner to its node's live trajectory (the clean
-            // same-winner case needs no update: the cached chain already
-            // carries this exact score forward).
-            if let Some((f, _, w, _)) = best {
-                if finish[w.index()].is_some() {
-                    finish[w.index()] = Some(f);
-                }
-            }
-            entry.scores = cache;
-            entry.tier_of = tier_cache;
-            entry.cache_valid = true;
-            if recording {
-                provenance.push(provenance_record(&entry));
-            }
-            self.raw_shards[slot.0].raw_pending[slot.1] = Some(entry);
-        }
-        self.dirty_nodes.clear();
-        for shard in &mut self.raw_shards {
-            shard.dirty_entries.clear();
-        }
-        let skipped = total - rescored;
-        if recording {
-            obs.retarget_pass(provenance, rescored, skipped);
-        }
-        RetargetStats {
-            rescored,
-            skipped,
-            ceiling_hits: 0,
-        }
-    }
-
-    /// The shard-local incremental pass. Same visits, same arithmetic,
-    /// same decisions as [`Self::pass_incremental`] — proven per pass by
-    /// the equivalence suite — but organized for the 1M-entry regime:
+    /// The shard-local incremental pass: rescore only entries whose
+    /// decision inputs changed since the last pass (dirty nodes' replica
+    /// holders, new admissions, and cascade-affected entries), in
+    /// admission order. Same decisions as [`Self::pass_reference`] —
+    /// proven per pass by the equivalence suite — organized for the
+    /// 1M-entry regime:
     ///
     /// * the visit plan is built per shard as a sorted `Vec` (dirty
     ///   entries plus dirty nodes' replica holders, deduped), so the walk
-    ///   is S pointer-bumps merged on the fly instead of a million-node
-    ///   global BTree churn;
+    ///   is S pointer-bumps merged on the fly instead of a global BTree
+    ///   visit set's churn;
     /// * cascade extensions go to a (usually tiny) side set, consulted
     ///   alongside the plan heads;
     /// * entry score buffers are rewritten in place — the steady-state
@@ -636,11 +511,10 @@ impl Scheduler {
             rescored += 1;
             self.last_shard_rescored[slot.0] += 1;
             // Phase 1 — score with shared borrows only (the entry stays in
-            // its slab slot; the monolithic pass moves it out and back,
-            // two full-entry copies per visit this pass does not pay).
+            // its slab slot: no full-entry move out and back per visit).
             // Scores land in a reusable scratch vector, rank by rank, with
             // non-candidate ranks explicitly reset to ∞ — exactly the
-            // buffers the fresh-vector engines would have built.
+            // buffers the reference walk writes.
             let entry = self.raw_shards[slot.0].raw_pending[slot.1]
                 .as_ref()
                 .expect("visited slots are live");

@@ -18,14 +18,15 @@
 //!   pulls, checkpoints, the reference rescan — goes through a small
 //!   **K-way merge** over per-shard heads ([`merge`]), so drain order is
 //!   identical at every shard count;
-//! * the Algorithm 1 engines (see [`engine`]) score from per-node
-//!   snapshots and dirty sets; the full-rescan pass is kept as a
-//!   reference implementation behind [`SchedEngine::Reference`], and the
-//!   shard-local pass ([`SchedEngine::Sharded`]) adds the cascade cost
-//!   ceiling.
+//! * the two Algorithm 1 engines (see [`engine`]) score from per-node
+//!   snapshots and dirty sets: the shard-local incremental pass
+//!   ([`SchedEngine::Sharded`], the default) rescores only what changed
+//!   and, past its cascade cost ceiling, runs the full-rescan reference
+//!   walk ([`SchedEngine::Reference`]), which is also selectable on its
+//!   own as the paper-shaped oracle.
 //!
 //! Everything is deterministic: slots are reused LIFO within each shard,
-//! all indexes are BTree-ordered, and the incremental engines are
+//! all indexes are BTree-ordered, and the incremental walk is
 //! bit-identical to the reference pass at every shard count (asserted by
 //! `crates/core/tests/sched_equivalence.rs`).
 //!
@@ -146,7 +147,7 @@ pub(crate) struct Scheduler {
     order: MigrationOrder,
     /// Engine selection, shard count, and dirty-set thresholds.
     cfg: SchedulerConfig,
-    /// Per-node scoring snapshot: seconds-per-byte estimate. All engines
+    /// Per-node scoring snapshot: seconds-per-byte estimate. Both engines
     /// score exclusively from the snapshot, so reference and incremental
     /// passes see identical inputs at any `spb_epsilon`.
     snap_spb: Vec<f64>,

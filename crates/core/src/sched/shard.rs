@@ -29,7 +29,7 @@ pub(super) struct Shard {
     /// Per-node bind queues (entries targeted at the node).
     pub(super) targeted: Vec<BTreeSet<(OrderKey, usize)>>,
     /// Per-node replica membership (Naive-policy bind queue and the
-    /// incremental engines' dirty-node walk set).
+    /// incremental pass's dirty-node walk set).
     pub(super) replica_idx: Vec<BTreeSet<(OrderKey, usize)>>,
     /// Running total of pending bytes in this shard.
     pub(super) pending_bytes: u64,

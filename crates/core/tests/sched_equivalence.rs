@@ -1,5 +1,8 @@
-//! Differential tests: the incremental and sharded Algorithm 1 engines
-//! against the reference full rescan.
+//! Differential tests: the sharded Algorithm 1 engine against the
+//! reference full rescan. Most masters run the sharded engine with the
+//! cascade ceiling off, so every pass takes the incremental walk and the
+//! walk itself is what gets checked; the default configuration (ceiling
+//! armed) rides along in the shard sweep and the ceiling test.
 //!
 //! Masters — identical except for [`SchedulerConfig`] — are driven
 //! through the same randomized event sequences (admissions, retargets,
@@ -8,13 +11,13 @@
 //! observable: per-block targets, pull results (bind order included),
 //! pending depth and bytes, and all must pass the full invariant audit.
 //! A second generator sweeps shard counts (1 / 2 / 8, with and without
-//! the cascade ceiling) so the K-way merge and the cross-shard
-//! trajectory lookups face the same scrutiny. This is the executable
+//! the cascade ceiling, plus the default) so the K-way merge and the
+//! cross-shard trajectory lookups face the same scrutiny. This is the executable
 //! form of the equivalence argument in `crates/core/src/sched/engine.rs`.
 
 use dyrs::master::{BlockRequest, JobHint, Master};
 use dyrs::types::EvictionMode;
-use dyrs::{MigrationOrder, MigrationPolicy, SchedEngine, SchedulerConfig};
+use dyrs::{MigrationOrder, MigrationPolicy, RetargetStats, SchedEngine, SchedulerConfig};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use proptest::prelude::*;
@@ -97,7 +100,7 @@ proptest! {
         ),
     ) {
         let order = order_of(order_sel);
-        let mut inc = master_with(sched_cfg(SchedEngine::Incremental, 1, 0.0), order, detector);
+        let mut inc = master_with(sched_cfg(SchedEngine::Sharded, 1, 0.0), order, detector);
         let mut refr = master_with(sched_cfg(SchedEngine::Reference, 1, 0.0), order, detector);
         let mut clock = SimTime::ZERO;
         let mut next_block = 0u64;
@@ -243,7 +246,7 @@ proptest! {
         blocks in 1usize..40,
     ) {
         let mut inc = master_with(
-            sched_cfg(SchedEngine::Incremental, 1, 0.0), MigrationOrder::Fifo, false);
+            sched_cfg(SchedEngine::Sharded, 1, 0.0), MigrationOrder::Fifo, false);
         let mut refr = master_with(
             sched_cfg(SchedEngine::Reference, 1, 0.0), MigrationOrder::Fifo, false);
         for (n, s) in spbs.iter().enumerate() {
@@ -314,8 +317,9 @@ proptest! {
 
     /// Shard-count sweep: the sharded engine at 1, 2, and 8 shards (the
     /// last with a tight cascade ceiling, so the fallback rescan also
-    /// runs) against the incremental monolith, through random
-    /// admit / retarget / pull / complete / drift / evict sequences.
+    /// runs) and at the default configuration, against the reference
+    /// rescan, through random admit / retarget / pull / complete /
+    /// drift / evict sequences.
     /// Identical targets and pulls at every step, identical drain
     /// digests at the end.
     #[test]
@@ -328,8 +332,9 @@ proptest! {
     ) {
         let order = order_of(order_sel);
         let mut fleet = [
-            master_with(sched_cfg(SchedEngine::Incremental, 1, 0.0), order, false),
+            master_with(sched_cfg(SchedEngine::Reference, 1, 0.0), order, false),
             master_with(sched_cfg(SchedEngine::Sharded, 1, 0.0), order, false),
+            master_with(SchedulerConfig::default(), order, false),
             master_with(sched_cfg(SchedEngine::Sharded, 2, 0.0), order, false),
             master_with(sched_cfg(SchedEngine::Sharded, 8, 0.1), order, false),
         ];
@@ -436,44 +441,92 @@ proptest! {
 
 #[test]
 fn cascade_ceiling_falls_back_without_changing_decisions() {
-    // Arm an absurdly low ceiling and dirty every node: the sharded pass
-    // must bail to the reference rescan (ceiling_hits = 1) and still
-    // produce exactly the reference decisions; un-armed (0.0) it must
-    // never bail.
-    let run = |ceiling: f64| -> (Master, u64) {
-        let mut m = master_with(
-            sched_cfg(SchedEngine::Sharded, 4, ceiling),
-            MigrationOrder::Fifo,
-            false,
-        );
-        for i in 0..200u64 {
+    // Every configuration sees the same script: admissions, a first pass,
+    // a sparse pass (one node drifts), then a dense pass (every node
+    // drifts, so the visit plan covers the whole queue). An absurdly low
+    // ceiling and the default ceiling must both bail to the reference
+    // rescan on the dense pass (ceiling_hits = 1); the default must keep
+    // the sparse pass incremental; un-armed (0.0) the check never fires.
+    // Every configuration must match the reference decisions after every
+    // pass and drain in the same order.
+    //
+    // Node 0 is far slower than the rest and holds a third replica of one
+    // block in eight, so the sparse pass visits 1/8 of the queue and —
+    // node 0 never winning — cascades nowhere.
+    const BLOCKS: u64 = 200;
+    let run = |cfg: SchedulerConfig| -> (
+        Master,
+        Vec<Vec<Option<NodeId>>>,
+        RetargetStats,
+        RetargetStats,
+    ) {
+        let mut m = master_with(cfg, MigrationOrder::Fifo, false);
+        m.on_heartbeat_at(NodeId(0), 1000.0 / BW, 0, SimTime::ZERO);
+        for n in 1..NODES {
+            m.on_heartbeat_at(NodeId(n), (1.0 + n as f64) / BW, 0, SimTime::ZERO);
+        }
+        for i in 0..BLOCKS {
+            let r = (i % 5) as u32;
+            let mut replicas = vec![NodeId(1 + r), NodeId(1 + (r + 1) % 5)];
+            if i % 8 == 0 {
+                replicas.push(NodeId(0));
+            }
             let reqs = vec![BlockRequest {
                 block: BlockId(i * 64),
                 bytes: 256 * MB,
-                replicas: vec![NodeId(i as u32 % NODES), NodeId((i as u32 + 1) % NODES)],
+                replicas,
             }];
             m.request_migration(JobId(i), reqs, EvictionMode::Implicit);
         }
+        let targets = |m: &Master| -> Vec<Option<NodeId>> {
+            m.pending_block_ids().map(|b| m.target_of(b)).collect()
+        };
+        let mut seen = Vec::new();
         m.retarget();
-        // every node drifts → the visit plan covers the whole queue
+        seen.push(targets(&m));
+        m.on_heartbeat_at(NodeId(0), 1100.0 / BW, 0, SimTime::from_secs(1));
+        let sparse = m.retarget();
+        seen.push(targets(&m));
         for n in 0..NODES {
             m.on_heartbeat_at(
                 NodeId(n),
                 (2.0 + n as f64) / BW,
                 128 * MB,
-                SimTime::from_secs(1),
+                SimTime::from_secs(2),
             );
         }
-        let stats = m.retarget();
-        (m, stats.ceiling_hits)
+        let dense = m.retarget();
+        seen.push(targets(&m));
+        (m, seen, sparse, dense)
     };
-    let (mut armed, hits_armed) = run(0.05);
-    let (mut unarmed, hits_unarmed) = run(0.0);
-    assert_eq!(hits_armed, 1, "the tight ceiling must trigger the rescan");
-    assert_eq!(hits_unarmed, 0, "ceiling 0.0 means the check is off");
-    let blocks: Vec<BlockId> = armed.pending_block_ids().collect();
-    for b in blocks {
-        assert_eq!(armed.target_of(b), unarmed.target_of(b), "{b:?}");
+    let (mut refr, ref_seen, _, _) = run(sched_cfg(SchedEngine::Reference, 4, 0.0));
+    let ref_digest = drain_digest(&mut refr);
+    // (label, config, expected ceiling hits on the sparse pass — `None`
+    // when the tight ceiling may fire there too — and on the dense pass)
+    let cases = [
+        ("tight", sched_cfg(SchedEngine::Sharded, 4, 0.05), None, 1),
+        (
+            "unarmed",
+            sched_cfg(SchedEngine::Sharded, 4, 0.0),
+            Some(0),
+            0,
+        ),
+        ("default", SchedulerConfig::default(), Some(0), 1),
+    ];
+    for (label, cfg, sparse_hits, dense_hits) in cases {
+        let (mut m, seen, sparse, dense) = run(cfg);
+        assert_eq!(dense.ceiling_hits, dense_hits, "{label}: dense pass");
+        if let Some(hits) = sparse_hits {
+            assert_eq!(sparse.ceiling_hits, hits, "{label}: sparse pass");
+            assert!(
+                sparse.rescored > 0 && sparse.rescored < BLOCKS,
+                "{label}: an incremental sparse pass skips clean entries: {sparse:?}"
+            );
+        }
+        assert_eq!(
+            seen, ref_seen,
+            "{label}: targets diverged from the reference"
+        );
+        assert_eq!(drain_digest(&mut m), ref_digest, "{label}: drain order");
     }
-    assert_eq!(drain_digest(&mut armed), drain_digest(&mut unarmed));
 }

@@ -38,7 +38,7 @@
 
 use dyrs::master::{BlockRequest, Master};
 use dyrs::types::EvictionMode;
-use dyrs::{MigrationPolicy, SchedEngine, SchedulerConfig};
+use dyrs::{MigrationPolicy, SchedulerConfig};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::Rng;
@@ -80,10 +80,9 @@ fn run(epsilon: f64, pending: u64, nodes: u32) -> (f64, f64, SampledTargets) {
         Rng::new(1),
     );
     m.set_sched_config(SchedulerConfig {
-        engine: SchedEngine::Sharded,
         shards: 16,
-        cascade_ceiling: 0.25,
         spb_epsilon: epsilon,
+        ..SchedulerConfig::default()
     });
     // Identical loader across ε runs: same Rng stream, same placement.
     let mut rng = Rng::new(2);

@@ -205,16 +205,13 @@ fn scheduler_engines_replay_identical_event_streams() {
         1,
     );
     let others = [
+        SchedulerConfig::default(),
+        // Ceiling off: every pass takes the incremental walk.
         SchedulerConfig {
-            engine: SchedEngine::Incremental,
+            cascade_ceiling: 0.0,
             ..SchedulerConfig::default()
         },
         SchedulerConfig {
-            engine: SchedEngine::Sharded,
-            ..SchedulerConfig::default()
-        },
-        SchedulerConfig {
-            engine: SchedEngine::Sharded,
             shards: 8,
             cascade_ceiling: 0.05,
             ..SchedulerConfig::default()
