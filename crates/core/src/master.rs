@@ -2537,7 +2537,7 @@ mod tests {
 
     #[test]
     fn restore_rearms_heartbeat_deadlines() {
-        let mut m = detector_master();
+        let m = detector_master();
         let cp = m.checkpoint();
         let mut m2 = master(MigrationPolicy::Dyrs);
         m2.configure_detector(FailureDetectorConfig::default());

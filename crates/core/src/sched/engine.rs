@@ -65,8 +65,7 @@
 
 use super::{Entry, OrderKey, RetargetStats, SchedEngine, Scheduler, Slot};
 use dyrs_cluster::NodeId;
-use dyrs_obs::{CandidateScore, ObsHandle, ProvenanceRecord};
-use simkit::SimTime;
+use dyrs_obs::{CandidateScore, ObsHandle, ProvenanceBatch};
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included, Unbounded};
 
@@ -240,11 +239,14 @@ impl Scheduler {
             super::merge::merged_queue(&self.raw_shards).collect()
         };
         let total = order.len() as u64;
-        // Decision provenance is recording-only; skip all of it (including
-        // the per-entry score vectors) when nothing is listening — this
-        // loop is the `bench/algo1` hot path.
+        // Decision provenance is recording-only; skip all of it when
+        // nothing is listening — this loop is the `bench/algo1` hot path.
         let recording = obs.is_enabled();
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
+        let mut provenance = if recording {
+            self.provenance_batch(order.len())
+        } else {
+            ProvenanceBatch::default()
+        };
         let mut candidates: Vec<(NodeId, usize)> = Vec::new();
         for r in &mut self.last_shard_rescored {
             *r = 0;
@@ -301,7 +303,7 @@ impl Scheduler {
             }
             entry.cache_valid = true;
             if recording {
-                provenance.push(provenance_record(&entry));
+                record_provenance(&mut provenance, &entry, &candidates);
             }
             self.raw_shards[sno].raw_pending[idx] = Some(entry);
         }
@@ -342,7 +344,7 @@ impl Scheduler {
         let recording = obs.is_enabled();
         if self.steady_state() {
             if recording {
-                obs.retarget_pass(Vec::new(), 0, total);
+                obs.retarget_pass(ProvenanceBatch::default(), 0, total);
             }
             for r in &mut self.last_shard_rescored {
                 *r = 0;
@@ -452,7 +454,15 @@ impl Scheduler {
         for r in &mut self.last_shard_rescored {
             *r = 0;
         }
-        let mut provenance: Vec<ProvenanceRecord> = Vec::new();
+        // Dropped unrecorded if the walk bails at the ceiling below: the
+        // rescan records the whole pass instead.
+        let mut provenance = if recording {
+            self.provenance_batch(order.len())
+        } else {
+            ProvenanceBatch::default()
+        };
+        // Provenance lists candidates in `(node, rank)` order.
+        let mut by_node: Vec<(NodeId, usize)> = Vec::new();
         // Cursor into `order`, and the touch-sweep frontier. The sweep
         // streams the next block of planned slots through a tight,
         // dependency-free loop so the core keeps many cache misses in
@@ -589,7 +599,17 @@ impl Scheduler {
             }
             entry.cache_valid = true;
             if recording {
-                provenance.push(provenance_record(entry));
+                by_node.clear();
+                by_node.extend(
+                    entry
+                        .migration
+                        .replicas
+                        .iter()
+                        .enumerate()
+                        .map(|(rank, &loc)| (loc, rank)),
+                );
+                by_node.sort_unstable();
+                record_provenance(&mut provenance, entry, &by_node);
             }
             if new_target != old_target {
                 if let Some(t) = old_target {
@@ -630,6 +650,20 @@ impl Scheduler {
         }
     }
 
+    /// An empty provenance batch with room for `rows` scored entries. The
+    /// candidate column is sized from the queue's replica slots (the
+    /// per-node replica index sizes, O(nodes) per shard): exact for a
+    /// full pass, the queue's average replication for a partial one.
+    fn provenance_batch(&self, rows: usize) -> ProvenanceBatch {
+        let slots: usize = self
+            .raw_shards
+            .iter()
+            .flat_map(|s| s.replica_idx.iter().map(BTreeSet::len))
+            .sum();
+        let depth = self.len().max(1);
+        ProvenanceBatch::with_capacity(rows, (slots * rows).div_ceil(depth))
+    }
+
     /// Nothing changed since the last pass anywhere.
     fn steady_state(&self) -> bool {
         self.dirty_nodes.is_empty() && self.raw_shards.iter().all(|s| s.dirty_entries.is_empty())
@@ -638,8 +672,8 @@ impl Scheduler {
     /// Abandon an over-ceiling incremental walk and finish the pass with
     /// the reference rescan. Any targets the abandoned prefix committed
     /// are recomputed identically (so no duplicate `migration_targeted`
-    /// events fire — the winners already match); partial provenance is
-    /// discarded in favor of the rescan's complete batch.
+    /// events fire — the winners already match); the caller's partial
+    /// provenance batch is dropped in favor of the rescan's complete one.
     fn finish_at_ceiling(&mut self, obs: &ObsHandle) -> RetargetStats {
         obs.counter_add("sched.cascade_ceiling", 1);
         let mut stats = self.pass_reference(obs);
@@ -689,36 +723,25 @@ impl Scheduler {
 /// Per-shard upper bound for "strictly before this global position".
 type Bound = (OrderKey, usize);
 
-/// A provenance record for one scored entry, with candidates in
-/// `(node, rank)` order. Pass index, timestamps, and the pass-level
-/// rescored/skipped counts are stamped by the recorder.
-fn provenance_record(entry: &Entry) -> ProvenanceRecord {
-    let mut cands: Vec<(u32, usize)> = entry
-        .migration
-        .replicas
-        .iter()
-        .enumerate()
-        .filter(|&(rank, _)| entry.scores[rank].is_finite())
-        .map(|(rank, loc)| (loc.0, rank))
-        .collect();
-    cands.sort_unstable();
-    ProvenanceRecord {
-        at: SimTime::ZERO, // recorder stamps time + pass
-        pass: 0,
-        migration: entry.migration.id.0,
-        block: entry.migration.block.0,
-        bytes: entry.migration.bytes,
-        candidates: cands
-            .into_iter()
-            .map(|(node, rank)| CandidateScore {
-                node,
-                rank: rank as u32,
+/// Append one scored entry to the pass's provenance: its live candidates
+/// (finite score) in the order `by_node` lists them — `(node, rank)`,
+/// covering at least every live rank — and its winner. Pass index,
+/// timestamp, and the pass-level rescored/skipped counts are stamped by
+/// the recorder.
+fn record_provenance(batch: &mut ProvenanceBatch, entry: &Entry, by_node: &[(NodeId, usize)]) {
+    batch.push(
+        entry.migration.id.0,
+        entry.migration.block.0,
+        entry.migration.bytes,
+        entry.target.map(|n| n.0),
+        by_node
+            .iter()
+            .filter(|&&(_, rank)| entry.scores[rank].is_finite())
+            .map(|&(node, rank)| CandidateScore {
                 est_finish_secs: entry.scores[rank],
+                node: node.0,
+                rank: u16::try_from(rank).expect("a migration has fewer than 2^16 replicas"),
                 tier: entry.tier_of[rank],
-            })
-            .collect(),
-        winner: entry.target.map(|n| n.0),
-        rescored: 0,
-        skipped: 0,
-    }
+            }),
+    );
 }

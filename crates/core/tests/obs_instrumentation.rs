@@ -204,12 +204,12 @@ fn provenance_explains_algorithm1_placement() {
 
     let report = obs.take_report();
     assert_eq!(report.provenance.len(), 1);
-    let rec = &report.provenance[0];
+    let rec = report.provenance.iter().next().expect("one record");
     assert_eq!(rec.migration, 0);
     assert_eq!(rec.block, 1);
     assert_eq!(rec.candidates.len(), 3);
     // Scores reproduce the paper's formula from heartbeat state alone.
-    for c in &rec.candidates {
+    for c in rec.candidates {
         let (spb, queued) = match c.node {
             0 => (slow_spb, 0.0),
             1 => (fast_spb, (2 * BLOCK) as f64),

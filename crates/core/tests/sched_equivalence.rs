@@ -16,13 +16,17 @@
 //! form of the equivalence argument in `crates/core/src/sched/engine.rs`.
 
 use dyrs::master::{BlockRequest, JobHint, Master};
+use dyrs::obs::{ObsReport, ProvenanceBatch};
 use dyrs::types::EvictionMode;
-use dyrs::{MigrationOrder, MigrationPolicy, RetargetStats, SchedEngine, SchedulerConfig};
+use dyrs::{
+    MigrationOrder, MigrationPolicy, ObsHandle, RetargetStats, SchedEngine, SchedulerConfig,
+};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use proptest::prelude::*;
 use simkit::audit::{Audit, AuditReport};
 use simkit::{Rng, SimDuration, SimTime};
+use std::collections::BTreeSet;
 
 const MB: u64 = 1 << 20;
 const BW: f64 = 140.0 * MB as f64;
@@ -439,28 +443,53 @@ proptest! {
     }
 }
 
+/// One stamped provenance pass rendered as `provenance.jsonl` lines.
+fn pass_jsonl(pass: &ProvenanceBatch) -> String {
+    let mut r = ObsReport::default();
+    r.provenance.push(
+        pass.clone(),
+        pass.at(),
+        pass.pass(),
+        pass.rescored(),
+        pass.skipped(),
+    );
+    r.provenance_jsonl()
+}
+
 #[test]
 fn cascade_ceiling_falls_back_without_changing_decisions() {
     // Every configuration sees the same script: admissions, a first pass,
-    // a sparse pass (one node drifts), then a dense pass (every node
-    // drifts, so the visit plan covers the whole queue). An absurdly low
-    // ceiling and the default ceiling must both bail to the reference
-    // rescan on the dense pass (ceiling_hits = 1); the default must keep
-    // the sparse pass incremental; un-armed (0.0) the check never fires.
-    // Every configuration must match the reference decisions after every
-    // pass and drain in the same order.
+    // a sparse pass (one node drifts), a dense pass (every node drifts,
+    // so the visit plan covers the whole queue), then a fan-out pass (one
+    // node drifts again: a small plan whose winner moves cascade over most
+    // of the queue). An absurdly low ceiling and the default
+    // ceiling must both bail to the reference rescan on the dense and
+    // fan-out passes (ceiling_hits = 1); the default must keep the sparse
+    // pass incremental; un-armed (0.0) the check never fires. Every
+    // configuration must match the reference decisions after every pass
+    // and drain in the same order.
     //
     // Node 0 is far slower than the rest and holds a third replica of one
     // block in eight, so the sparse pass visits 1/8 of the queue and —
-    // node 0 never winning — cascades nowhere.
+    // node 0 never winning — cascades nowhere. The dense pass makes node
+    // 0 a winner; the fan-out pass slows it again, so its entries move to
+    // clean nodes and each move cascades over that node's later holders.
+    // Its plan passes the upfront checks, so the default ceiling trips
+    // mid-walk, after the walk has recorded provenance.
+    //
+    // A bail drops the abandoned walk's partial provenance: with obs on,
+    // each recorded pass holds exactly `rescored` records, no migration
+    // twice, and a pass that bailed renders the reference pass's lines.
     const BLOCKS: u64 = 200;
     let run = |cfg: SchedulerConfig| -> (
         Master,
         Vec<Vec<Option<NodeId>>>,
-        RetargetStats,
-        RetargetStats,
+        Vec<RetargetStats>,
+        ObsReport,
     ) {
         let mut m = master_with(cfg, MigrationOrder::Fifo, false);
+        let obs = ObsHandle::new();
+        m.attach_obs(obs.clone());
         m.on_heartbeat_at(NodeId(0), 1000.0 / BW, 0, SimTime::ZERO);
         for n in 1..NODES {
             m.on_heartbeat_at(NodeId(n), (1.0 + n as f64) / BW, 0, SimTime::ZERO);
@@ -482,10 +511,11 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
             m.pending_block_ids().map(|b| m.target_of(b)).collect()
         };
         let mut seen = Vec::new();
-        m.retarget();
+        let mut stats = Vec::new();
+        stats.push(m.retarget());
         seen.push(targets(&m));
         m.on_heartbeat_at(NodeId(0), 1100.0 / BW, 0, SimTime::from_secs(1));
-        let sparse = m.retarget();
+        stats.push(m.retarget());
         seen.push(targets(&m));
         for n in 0..NODES {
             m.on_heartbeat_at(
@@ -495,14 +525,18 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
                 SimTime::from_secs(2),
             );
         }
-        let dense = m.retarget();
+        stats.push(m.retarget());
         seen.push(targets(&m));
-        (m, seen, sparse, dense)
+        m.on_heartbeat_at(NodeId(0), 1000.0 / BW, 128 * MB, SimTime::from_secs(3));
+        stats.push(m.retarget());
+        seen.push(targets(&m));
+        (m, seen, stats, obs.take_report())
     };
-    let (mut refr, ref_seen, _, _) = run(sched_cfg(SchedEngine::Reference, 4, 0.0));
+    let (mut refr, ref_seen, _, ref_obs) = run(sched_cfg(SchedEngine::Reference, 4, 0.0));
     let ref_digest = drain_digest(&mut refr);
     // (label, config, expected ceiling hits on the sparse pass — `None`
-    // when the tight ceiling may fire there too — and on the dense pass)
+    // when the tight ceiling may fire there too — and on the dense and
+    // fan-out passes)
     let cases = [
         ("tight", sched_cfg(SchedEngine::Sharded, 4, 0.05), None, 1),
         (
@@ -514,8 +548,10 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
         ("default", SchedulerConfig::default(), Some(0), 1),
     ];
     for (label, cfg, sparse_hits, dense_hits) in cases {
-        let (mut m, seen, sparse, dense) = run(cfg);
+        let (mut m, seen, stats, obs) = run(cfg);
+        let (sparse, dense, fan_out) = (stats[1], stats[2], stats[3]);
         assert_eq!(dense.ceiling_hits, dense_hits, "{label}: dense pass");
+        assert_eq!(fan_out.ceiling_hits, dense_hits, "{label}: fan-out pass");
         if let Some(hits) = sparse_hits {
             assert_eq!(sparse.ceiling_hits, hits, "{label}: sparse pass");
             assert!(
@@ -527,6 +563,41 @@ fn cascade_ceiling_falls_back_without_changing_decisions() {
             seen, ref_seen,
             "{label}: targets diverged from the reference"
         );
+        if obs.enabled {
+            let passes = obs.provenance.passes();
+            assert_eq!(
+                obs.provenance.len() as u64,
+                stats.iter().map(|s| s.rescored).sum::<u64>(),
+                "{label}: one record per rescored entry, over the whole run"
+            );
+            for pass in passes {
+                let i = pass.pass() as usize;
+                assert_eq!(
+                    pass.len() as u64,
+                    pass.rescored(),
+                    "{label}: pass {i} records vs its rescored stamp"
+                );
+                assert_eq!(pass.rescored(), stats[i].rescored, "{label}: pass {i}");
+                let mut migrations = BTreeSet::new();
+                assert!(
+                    pass.iter().all(|rec| migrations.insert(rec.migration)),
+                    "{label}: pass {i} records a migration twice"
+                );
+                if stats[i].ceiling_hits == 1 {
+                    let reference = ref_obs
+                        .provenance
+                        .passes()
+                        .iter()
+                        .find(|p| p.pass() == pass.pass())
+                        .expect("the reference records every pass");
+                    assert_eq!(
+                        pass_jsonl(pass),
+                        pass_jsonl(reference),
+                        "{label}: pass {i} bailed at the ceiling but its provenance differs from the rescan's"
+                    );
+                }
+            }
+        }
         assert_eq!(drain_digest(&mut m), ref_digest, "{label}: drain order");
     }
 }

@@ -104,7 +104,7 @@ impl ObsReport {
     /// Algorithm 1 provenance as JSONL: one migration scoring per line.
     pub fn provenance_jsonl(&self) -> String {
         let mut out = String::new();
-        for rec in &self.provenance {
+        for rec in self.provenance.iter() {
             let _ = write!(
                 out,
                 "{{\"at_us\":{},\"pass\":{},\"migration\":{},\"block\":{},\"bytes\":{},\"candidates\":[",
@@ -215,7 +215,7 @@ impl ObsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{cause, CandidateScore, ProvenanceRecord, SpanEvent, SpanState};
+    use crate::span::{cause, CandidateScore, ProvenanceBatch, SpanEvent, SpanState};
     use simkit::SimTime;
 
     fn sample_report() -> ObsReport {
@@ -264,13 +264,13 @@ mod tests {
         let mut h = simkit::stats::Histogram::linear(0.0, 10.0, 2);
         h.observe(1.0);
         r.histograms.insert("migration.duration_secs", h);
-        r.provenance.push(ProvenanceRecord {
-            at: SimTime::from_secs(1),
-            pass: 0,
-            migration: 7,
-            block: 3,
-            bytes: 128,
-            candidates: vec![
+        let mut pass = ProvenanceBatch::default();
+        pass.push(
+            7,
+            3,
+            128,
+            Some(2),
+            [
                 CandidateScore {
                     node: 1,
                     rank: 1,
@@ -284,10 +284,8 @@ mod tests {
                     tier: 0,
                 },
             ],
-            winner: Some(2),
-            rescored: 1,
-            skipped: 3,
-        });
+        );
+        r.provenance.push(pass, SimTime::from_secs(1), 0, 1, 3);
         r
     }
 
@@ -322,6 +320,15 @@ mod tests {
         assert!(s.contains("\"winner\":2"));
         assert!(s.contains("{\"node\":2,\"rank\":0,\"est_finish_secs\":1.5}"));
         assert!(s.contains("\"rescored\":1,\"skipped\":3"));
+        // The whole line, byte for byte: pass-level stamps are stored once
+        // per pass but rendered on every record.
+        assert_eq!(
+            s,
+            "{\"at_us\":1000000,\"pass\":0,\"migration\":7,\"block\":3,\"bytes\":128,\
+             \"candidates\":[{\"node\":1,\"rank\":1,\"est_finish_secs\":2},\
+             {\"node\":2,\"rank\":0,\"est_finish_secs\":1.5}],\
+             \"winner\":2,\"rescored\":1,\"skipped\":3}\n"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,
 };
-use crate::span::{cause, ProvenanceRecord, SpanEvent, SpanState};
+use crate::span::{cause, ProvenanceBatch, SpanEvent, SpanState};
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::stats::{Histogram, TimeSeries};
@@ -47,8 +47,9 @@ struct Inner {
     /// Current state of every span with no terminal event yet, maintained
     /// incrementally by `record` so the snapshot census is O(open spans).
     open: BTreeMap<u64, SpanState>,
-    /// Algorithm 1 winner roll-up: node → times chosen across all passes.
-    wins: BTreeMap<u32, u64>,
+    /// Algorithm 1 winner roll-up: times chosen across all passes,
+    /// indexed by node.
+    wins: Vec<u64>,
     /// Flight recorder ring of the last `FLIGHT_CAPACITY` transitions.
     flight: VecDeque<FlightNote>,
     /// Transitions that fell out of the ring.
@@ -323,26 +324,28 @@ impl ObsHandle {
     }
 
     /// Record one Algorithm 1 retarget pass. The recorder assigns the
-    /// monotone pass index, timestamps, and the pass-level rescored /
-    /// skipped counts; callers fill everything else. `records` covers the
-    /// rescored entries only — the incremental engine proves skipped
-    /// entries unchanged, so their previous records remain authoritative.
-    pub fn retarget_pass(&self, mut records: Vec<ProvenanceRecord>, rescored: u64, skipped: u64) {
+    /// monotone pass index, the timestamp, and the pass-level rescored /
+    /// skipped counts, once for the whole batch; callers fill the rows.
+    /// `batch` covers the rescored entries only — the sharded engine
+    /// proves skipped entries unchanged, so their previous records remain
+    /// authoritative.
+    pub fn retarget_pass(&self, batch: ProvenanceBatch, rescored: u64, skipped: u64) {
         if let Some(inner) = &self.0 {
             let mut inner = inner.borrow_mut();
             let pass = inner.passes;
             inner.passes += 1;
             let at = inner.now;
-            for rec in &mut records {
-                rec.pass = pass;
-                rec.at = at;
-                rec.rescored = rescored;
-                rec.skipped = skipped;
-                if let Some(winner) = rec.winner {
-                    *inner.wins.entry(winner).or_insert(0) += 1;
+            for winner in batch.iter().filter_map(|rec| rec.winner) {
+                let node = winner as usize;
+                if node >= inner.wins.len() {
+                    inner.wins.resize(node + 1, 0);
                 }
+                inner.wins[node] += 1;
             }
-            inner.report.provenance.append(&mut records);
+            inner
+                .report
+                .provenance
+                .push(batch, at, pass, rescored, skipped);
             *inner.report.counters.entry("sched.rescored").or_insert(0) += rescored;
             *inner.report.counters.entry("sched.skipped").or_insert(0) += skipped;
         }
@@ -460,8 +463,11 @@ impl ObsHandle {
             .into_iter()
             .map(|(name, count)| (name.to_owned(), count))
             .collect();
-        let mut top_winners: Vec<(u32, u64)> =
-            inner.wins.iter().map(|(&node, &won)| (node, won)).collect();
+        let mut top_winners: Vec<(u32, u64)> = (0u32..)
+            .zip(&inner.wins)
+            .filter(|&(_, &won)| won > 0)
+            .map(|(node, &won)| (node, won))
+            .collect();
         top_winners.sort_by_key(|&(node, won)| (std::cmp::Reverse(won), node));
         top_winners.truncate(TOP_WINNERS);
         StatsSnapshot {
@@ -586,35 +592,35 @@ mod tests {
         assert!(r2.events.is_empty());
     }
 
+    /// A batch with one candidate-less row per `(migration, winner)`.
+    fn batch(rows: &[(u64, Option<u32>)]) -> ProvenanceBatch {
+        let mut b = ProvenanceBatch::default();
+        for &(mig, winner) in rows {
+            b.push(mig, mig, 8, winner, []);
+        }
+        b
+    }
+
     #[test]
     fn retarget_pass_assigns_monotone_pass_index() {
         let h = ObsHandle::new();
         h.set_now(SimTime::from_secs(1));
-        let rec = |mig| ProvenanceRecord {
-            at: SimTime::ZERO,
-            pass: 0,
-            migration: mig,
-            block: mig,
-            bytes: 8,
-            candidates: Vec::new(),
-            winner: None,
-            rescored: 0,
-            skipped: 0,
-        };
-        h.retarget_pass(vec![rec(1), rec(2)], 2, 5);
+        h.retarget_pass(batch(&[(1, None), (2, None)]), 2, 5);
         h.set_now(SimTime::from_secs(2));
-        h.retarget_pass(vec![rec(1)], 1, 6);
+        h.retarget_pass(batch(&[(1, None)]), 1, 6);
         let r = h.take_report();
+        let recs: Vec<_> = r.provenance.iter().collect();
+        assert_eq!(recs.len(), 3);
         assert_eq!(r.provenance.len(), 3);
-        assert_eq!(r.provenance[0].pass, 0);
-        assert_eq!(r.provenance[1].pass, 0);
-        assert_eq!(r.provenance[2].pass, 1);
-        assert_eq!(r.provenance[2].at, SimTime::from_secs(2));
+        assert_eq!(recs[0].pass, 0);
+        assert_eq!(recs[1].pass, 0);
+        assert_eq!(recs[2].pass, 1);
+        assert_eq!(recs[2].at, SimTime::from_secs(2));
         // Pass-level work counts are stamped on every record and summed
         // into counters.
-        assert_eq!(r.provenance[0].rescored, 2);
-        assert_eq!(r.provenance[0].skipped, 5);
-        assert_eq!(r.provenance[2].rescored, 1);
+        assert_eq!(recs[0].rescored, 2);
+        assert_eq!(recs[0].skipped, 5);
+        assert_eq!(recs[2].rescored, 1);
         assert_eq!(r.counter("sched.rescored"), 3);
         assert_eq!(r.counter("sched.skipped"), 11);
     }
@@ -659,24 +665,8 @@ mod tests {
     #[test]
     fn snapshot_rolls_up_top_provenance_winners() {
         let h = ObsHandle::new();
-        let rec = |mig, winner| ProvenanceRecord {
-            at: SimTime::ZERO,
-            pass: 0,
-            migration: mig,
-            block: mig,
-            bytes: 8,
-            candidates: Vec::new(),
-            winner,
-            rescored: 0,
-            skipped: 0,
-        };
         h.retarget_pass(
-            vec![
-                rec(1, Some(4)),
-                rec(2, Some(4)),
-                rec(3, Some(1)),
-                rec(4, None),
-            ],
+            batch(&[(1, Some(4)), (2, Some(4)), (3, Some(1)), (4, None)]),
             4,
             0,
         );

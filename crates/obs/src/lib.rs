@@ -15,10 +15,13 @@
 //! 2. **Metrics registry**: typed counters, per-key gauge time series
 //!    (reusing [`simkit::stats::TimeSeries`]) sampled at heartbeat
 //!    boundaries, and histograms.
-//! 3. **Decision provenance** ([`ProvenanceRecord`]): each Algorithm 1
-//!    targeting pass records the candidate replica set with estimated
-//!    finish times and the chosen winner, so a misplacement is explainable
-//!    from the trace alone.
+//! 3. **Decision provenance** ([`ProvenanceLog`]): each Algorithm 1
+//!    targeting pass records, for every rescored migration, the candidate
+//!    replica set with estimated finish times ([`CandidateScore`]) and the
+//!    chosen winner, so a misplacement is explainable from the trace
+//!    alone. A pass is one columnar [`ProvenanceBatch`] — rows plus a
+//!    shared candidate column, pass-level stamps stored once — and readers
+//!    get one borrowed [`ProvenanceView`] per record.
 //!
 //! Recording goes through [`ObsHandle`], a clonable handle the simulation
 //! driver attaches to the master and every slave. The handle is real only
@@ -48,7 +51,9 @@ pub use snapshot::{
     FlightEntry, FlightRecord, GaugeSample, StatsSnapshot, FLIGHT_CAPACITY, MAX_AUTO_DUMPS,
     TOP_WINNERS,
 };
-pub use span::{cause, CandidateScore, ProvenanceRecord, SpanEvent, SpanState};
+pub use span::{
+    cause, CandidateScore, ProvenanceBatch, ProvenanceLog, ProvenanceView, SpanEvent, SpanState,
+};
 
 #[cfg(feature = "enabled")]
 mod handle;

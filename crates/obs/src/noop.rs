@@ -8,7 +8,7 @@
 
 use crate::report::ObsReport;
 use crate::snapshot::{FlightRecord, StatsSnapshot};
-use crate::span::ProvenanceRecord;
+use crate::span::ProvenanceBatch;
 use dyrs_cluster::NodeId;
 use dyrs_dfs::{BlockId, JobId};
 use simkit::{SimDuration, SimTime};
@@ -91,9 +91,9 @@ impl ObsHandle {
     #[inline]
     pub fn tier_promoted(&self, _block: BlockId, _node: NodeId) {}
 
-    /// No-op (callers guard on `is_enabled()` and never build the records).
+    /// No-op (callers guard on `is_enabled()` and never fill the batch).
     #[inline]
-    pub fn retarget_pass(&self, _records: Vec<ProvenanceRecord>, _rescored: u64, _skipped: u64) {}
+    pub fn retarget_pass(&self, _batch: ProvenanceBatch, _rescored: u64, _skipped: u64) {}
 
     /// No-op.
     #[inline]

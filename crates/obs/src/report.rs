@@ -1,6 +1,6 @@
 //! The collected observability data for one simulation run.
 
-use crate::span::{ProvenanceRecord, SpanEvent};
+use crate::span::{ProvenanceLog, SpanEvent};
 use serde::{Deserialize, Serialize};
 use simkit::stats::{Histogram, TimeSeries};
 use std::collections::BTreeMap;
@@ -30,8 +30,9 @@ pub struct ObsReport {
     pub gauges: BTreeMap<(&'static str, u64), TimeSeries>,
     /// Value distributions, e.g. `migration.duration_secs`.
     pub histograms: BTreeMap<&'static str, Histogram>,
-    /// Algorithm 1 scoring records, one per migration per retarget pass.
-    pub provenance: Vec<ProvenanceRecord>,
+    /// Algorithm 1 scoring records, one per migration per retarget pass,
+    /// stored as one columnar batch per pass.
+    pub provenance: ProvenanceLog,
 }
 
 impl ObsReport {

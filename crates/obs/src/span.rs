@@ -5,6 +5,11 @@
 //! evicted`. Each transition is one [`SpanEvent`]: a flat, self-contained
 //! record (migration id, block, bytes, node, cause) so a single JSONL line
 //! can be understood without joining against other tables.
+//!
+//! Provenance is recorded per retarget pass in columns
+//! ([`ProvenanceBatch`]) and read back one record at a time
+//! ([`ProvenanceView`]), so the exported lines stay just as
+//! self-contained.
 
 use serde::{Deserialize, Serialize};
 use simkit::SimTime;
@@ -160,28 +165,150 @@ pub struct SpanEvent {
 
 /// Estimated finish time for one candidate replica node considered by
 /// Algorithm 1 (`finish[n] = spb[n]·queued_bytes[n] + spb[n]·bytes`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Packed to 16 bytes: a dense pass over a 1M-entry queue records about
+/// three of these per entry, and every pass is kept until the report is
+/// taken.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CandidateScore {
+    /// Estimated finish time in seconds if this node is chosen.
+    pub est_finish_secs: f64,
     /// Candidate source node.
     pub node: u32,
     /// Placement rank of the replica on this node (tie-break key).
-    pub rank: u32,
-    /// Estimated finish time in seconds if this node is chosen.
-    pub est_finish_secs: f64,
+    pub rank: u16,
     /// Destination buffer tier behind this score (the winning half of
     /// the tier × replica pair; 0 = memory on every legacy stack).
     #[serde(default)]
     pub tier: u8,
 }
 
-/// One migration's scoring inside one Algorithm 1 retarget pass.
+/// One scored entry of a [`ProvenanceBatch`]; its candidates are the next
+/// `candidates` elements of the batch's shared candidate column.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Row {
+    migration: u64,
+    block: u64,
+    bytes: u64,
+    winner: Option<u32>,
+    candidates: u32,
+}
+
+/// The decision provenance of one Algorithm 1 retarget pass, stored in
+/// columns: one row per rescored entry and one candidate column shared by
+/// every row, so a pass over a million entries costs a few large
+/// allocations rather than one per entry.
+///
+/// The scheduler fills a batch with [`ProvenanceBatch::push`] and hands
+/// it to the recorder, which stamps the pass-level fields (time, pass
+/// index, rescored / skipped counts) once for the whole batch. Readers see
+/// one [`ProvenanceView`] per row through [`ProvenanceBatch::iter`] or
+/// [`ProvenanceLog::iter`].
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct ProvenanceBatch {
+    at: SimTime,
+    pass: u64,
+    rescored: u64,
+    skipped: u64,
+    rows: Vec<Row>,
+    candidates: Vec<CandidateScore>,
+}
+
+impl ProvenanceBatch {
+    /// An empty batch with room for `rows` scored entries and
+    /// `candidates` candidate scores in total.
+    pub fn with_capacity(rows: usize, candidates: usize) -> Self {
+        ProvenanceBatch {
+            rows: Vec::with_capacity(rows),
+            candidates: Vec::with_capacity(candidates),
+            ..ProvenanceBatch::default()
+        }
+    }
+
+    /// Record one migration's scoring: its live candidates (in the order
+    /// readers should see them) and the chosen node, if any.
+    pub fn push(
+        &mut self,
+        migration: u64,
+        block: u64,
+        bytes: u64,
+        winner: Option<u32>,
+        candidates: impl IntoIterator<Item = CandidateScore>,
+    ) {
+        let start = self.candidates.len();
+        self.candidates.extend(candidates);
+        let count = u32::try_from(self.candidates.len() - start)
+            .expect("a migration has fewer than 2^32 replicas");
+        self.rows.push(Row {
+            migration,
+            block,
+            bytes,
+            winner,
+            candidates: count,
+        });
+    }
+
+    /// Simulated time of the retarget pass.
+    pub fn at(&self) -> SimTime {
+        self.at
+    }
+
+    /// Index of the retarget pass (0-based, monotone over the run).
+    pub fn pass(&self) -> u64 {
+        self.pass
+    }
+
+    /// How many pending entries the pass rescored.
+    pub fn rescored(&self) -> u64 {
+        self.rescored
+    }
+
+    /// How many pending entries the pass skipped as provably unchanged
+    /// (always 0 for the reference full-rescan engine).
+    pub fn skipped(&self) -> u64 {
+        self.skipped
+    }
+
+    /// Number of scored entries recorded.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no entry was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// One view per scored entry, in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = ProvenanceView<'_>> + '_ {
+        let mut next = 0usize;
+        self.rows.iter().map(move |row| {
+            let start = next;
+            next += row.candidates as usize;
+            ProvenanceView {
+                at: self.at,
+                pass: self.pass,
+                migration: row.migration,
+                block: row.block,
+                bytes: row.bytes,
+                candidates: &self.candidates[start..next],
+                winner: row.winner,
+                rescored: self.rescored,
+                skipped: self.skipped,
+            }
+        })
+    }
+}
+
+/// One migration's scoring inside one Algorithm 1 retarget pass, borrowed
+/// from the pass's [`ProvenanceBatch`].
 ///
 /// `winner` is the candidate with the minimum `(est_finish_secs, rank)`;
 /// `None` means no live replica was available. A placement is thus fully
 /// explainable from this record alone: the winner's score is ≤ every other
 /// candidate's, with rank breaking exact ties.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProvenanceRecord {
+#[derive(Debug, Clone, Copy)]
+pub struct ProvenanceView<'a> {
     /// Simulated time of the retarget pass.
     pub at: SimTime,
     /// Index of the retarget pass (0-based, monotone over the run).
@@ -192,16 +319,69 @@ pub struct ProvenanceRecord {
     pub block: u64,
     /// Block size in bytes.
     pub bytes: u64,
-    /// All live candidate replicas with their scores, in replica order.
-    pub candidates: Vec<CandidateScore>,
+    /// All live candidate replicas with their scores, in `(node, rank)`
+    /// order.
+    pub candidates: &'a [CandidateScore],
     /// The chosen node, if any candidate was live.
     pub winner: Option<u32>,
     /// How many pending entries the pass containing this record rescored
-    /// (stamped by the recorder, identical across one pass's records).
+    /// (identical across one pass's records).
     pub rescored: u64,
     /// How many pending entries the pass skipped as provably unchanged
     /// (always 0 for the reference full-rescan engine).
     pub skipped: u64,
+}
+
+/// Every stamped retarget pass of a run, in pass order. Passes that
+/// rescored nothing are counted (they advance the pass index) but not
+/// stored.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct ProvenanceLog {
+    passes: Vec<ProvenanceBatch>,
+}
+
+impl ProvenanceLog {
+    /// Stamp one pass's batch with the fields its rows share and append
+    /// it. The batch moves in whole; no row is copied.
+    pub fn push(
+        &mut self,
+        mut batch: ProvenanceBatch,
+        at: SimTime,
+        pass: u64,
+        rescored: u64,
+        skipped: u64,
+    ) {
+        if batch.is_empty() {
+            return;
+        }
+        batch.at = at;
+        batch.pass = pass;
+        batch.rescored = rescored;
+        batch.skipped = skipped;
+        batch.rows.shrink_to_fit();
+        batch.candidates.shrink_to_fit();
+        self.passes.push(batch);
+    }
+
+    /// The stored passes, in pass order.
+    pub fn passes(&self) -> &[ProvenanceBatch] {
+        &self.passes
+    }
+
+    /// Every record of every pass, in recording order.
+    pub fn iter(&self) -> impl Iterator<Item = ProvenanceView<'_>> + '_ {
+        self.passes.iter().flat_map(ProvenanceBatch::iter)
+    }
+
+    /// Number of records across all passes.
+    pub fn len(&self) -> usize {
+        self.passes.iter().map(ProvenanceBatch::len).sum()
+    }
+
+    /// Whether no record was stored.
+    pub fn is_empty(&self) -> bool {
+        self.passes.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +397,40 @@ mod tests {
         assert!(SpanState::Finished.is_terminal());
         assert!(SpanState::Aborted.is_terminal());
         assert!(SpanState::Evicted.is_terminal());
+    }
+
+    #[test]
+    fn candidate_scores_pack_to_16_bytes() {
+        assert_eq!(std::mem::size_of::<CandidateScore>(), 16);
+    }
+
+    #[test]
+    fn batch_views_split_the_candidate_column_by_row() {
+        let c = |node, rank| CandidateScore {
+            est_finish_secs: f64::from(node),
+            node,
+            rank,
+            tier: 0,
+        };
+        let mut b = ProvenanceBatch::with_capacity(3, 3);
+        b.push(1, 10, 8, Some(2), [c(2, 0), c(5, 1)]);
+        b.push(2, 11, 8, None, []);
+        b.push(3, 12, 8, Some(7), [c(7, 0)]);
+        let mut log = ProvenanceLog::default();
+        log.push(ProvenanceBatch::default(), SimTime::ZERO, 0, 0, 9);
+        log.push(b, SimTime::from_secs(3), 1, 3, 6);
+        // The empty pass counts but is not stored.
+        assert_eq!(log.passes().len(), 1);
+        assert_eq!(log.len(), 3);
+        let recs: Vec<_> = log.iter().collect();
+        assert_eq!(recs[0].candidates, &[c(2, 0), c(5, 1)]);
+        assert!(recs[1].candidates.is_empty());
+        assert_eq!(recs[1].winner, None);
+        assert_eq!(recs[2].candidates, &[c(7, 0)]);
+        assert_eq!(recs[2].block, 12);
+        assert!(recs
+            .iter()
+            .all(|r| r.pass == 1 && r.at == SimTime::from_secs(3) && r.rescored == 3));
     }
 
     #[test]

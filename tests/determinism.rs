@@ -323,6 +323,21 @@ fn trace_exports_are_byte_identical_across_reruns() {
             !a.events.is_empty() && !a.provenance.is_empty(),
             "an obs-enabled drill run must record spans and provenance"
         );
+        // Rerun equality cannot catch a recorder change that renders both
+        // runs differently from before, so the provenance bytes are pinned
+        // outright: FNV-1a over the drill's whole provenance.jsonl. Any
+        // change to these bytes changes the trace format readers see.
+        let prov = a.provenance_jsonl();
+        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        for b in prov.bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        assert_eq!(
+            (prov.len(), h),
+            (2351, 0xF379_59F7_59F1_BC80),
+            "pinned provenance.jsonl bytes changed"
+        );
     }
 }
 
