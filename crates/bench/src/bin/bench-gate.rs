@@ -17,6 +17,7 @@
 //! snapshot also fails the gate — deleting a bench must be an explicit
 //! baseline refresh, not a silent drop.
 
+use simkit::json::Value;
 use std::process::ExitCode;
 
 /// Benches that gate the merge. Keep to entries whose medians are large
@@ -29,34 +30,23 @@ const PINNED: &[&str] = &[
     "algo1/sharded_1m_refresh_pass",
 ];
 
-/// Extract `(name, median_ns)` pairs from a `bench-snapshot` JSON. The
-/// writer emits one bench object per line with fixed key order, so a
-/// line-oriented scan is exact for this format (the vendored serde stack
-/// is a no-op stub; see bench-snapshot's hand-rolled writer).
-fn parse(json: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else { continue };
-        let name = &rest[..nend];
-        if name == "sha" {
-            continue;
-        }
-        let Some(mpos) = line.find("\"median_ns\": ") else {
-            continue;
-        };
-        let digits: String = line[mpos + 13..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect();
-        if let Ok(median) = digits.parse() {
-            out.push((name.to_string(), median));
-        }
-    }
-    out
+/// `(name, median_ns)` of every bench in the `bench-snapshot` file at `path`.
+fn medians(path: &str) -> Vec<(String, u64)> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let doc = Value::parse(&text).unwrap_or_else(|e| panic!("{path}:{e}"));
+    let Some(benches) = doc.get("benches").and_then(Value::as_array) else {
+        panic!("{path}: no \"benches\" array");
+    };
+    benches
+        .iter()
+        .map(|b| {
+            let name = b.get("name").and_then(Value::as_str);
+            match (name, b.get("median_ns").and_then(Value::as_u64)) {
+                (Some(name), Some(median)) => (name.to_owned(), median),
+                _ => panic!("{path}: a bench without a name or an integer median_ns: {b}"),
+            }
+        })
+        .collect()
 }
 
 fn median_of(set: &[(String, u64)], name: &str) -> Option<u64> {
@@ -84,12 +74,8 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| panic!("read {results}/LATEST: {e}"));
     let base_name = latest.trim();
     let base_path = format!("{results}/{base_name}");
-    let baseline = parse(
-        &std::fs::read_to_string(&base_path).unwrap_or_else(|e| panic!("read {base_path}: {e}")),
-    );
-    let fresh = parse(
-        &std::fs::read_to_string(&new_path).unwrap_or_else(|e| panic!("read {new_path}: {e}")),
-    );
+    let baseline = medians(&base_path);
+    let fresh = medians(&new_path);
 
     println!("bench-gate: {new_path} vs {base_path} (>{threshold}% on pinned medians fails)");
     let mut failures = 0u32;

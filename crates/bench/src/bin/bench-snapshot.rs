@@ -1,19 +1,18 @@
 //! `bench-snapshot` — a fast, CI-friendly performance snapshot.
 //!
-//! Criterion's statistical runs take minutes; CI wants a coarse number
-//! per commit to spot order-of-magnitude regressions and a JSON artifact
-//! to diff across commits. This binary times a handful of representative
-//! hot paths (Algorithm 1 retargeting, one end-to-end simulation, the
-//! wire codec, the loopback transport) with plain `Instant` sampling and
-//! writes `BENCH_<sha>.json`:
+//! CI wants a coarse number per commit to spot order-of-magnitude
+//! regressions and a JSON artifact to diff across commits. This binary
+//! times a handful of representative hot paths (Algorithm 1 retargeting,
+//! one end-to-end simulation, the wire codec, the loopback transport)
+//! with plain `Instant` sampling and writes `BENCH_<sha>.json`:
 //!
 //! ```text
 //! bench-snapshot [--sha SHA] [--out DIR]
 //! ```
 //!
 //! `SHA` defaults to `$GITHUB_SHA`, then `"local"`. The numbers are
-//! medians over fixed iteration counts — noisy by Criterion's standards,
-//! deliberately so: this is a smoke gauge, not a microbenchmark suite.
+//! medians over fixed iteration counts — noisy, deliberately so: this is
+//! a smoke gauge, not a statistical benchmark.
 
 use dyrs::master::{BlockRequest, Master};
 use dyrs::types::EvictionMode;
@@ -49,6 +48,14 @@ struct Snapshot {
     min_ns: u64,
     max_ns: u64,
 }
+
+simkit::impl_to_json!(Snapshot {
+    name,
+    iters,
+    median_ns,
+    min_ns,
+    max_ns
+});
 
 fn summarize(name: &'static str, mut samples: Vec<u64>) -> Snapshot {
     samples.sort_unstable();
@@ -386,17 +393,6 @@ fn bench_loopback() -> Snapshot {
     )
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| -> Option<String> {
@@ -423,24 +419,7 @@ fn main() {
         bench_loopback(),
     ]);
 
-    // Hand-rolled JSON: the vendored serde stack is a no-op stub, and the
-    // shape here is flat enough that a formatter would be overkill.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"sha\": \"{}\",\n", json_escape(&sha)));
-    json.push_str("  \"benches\": [\n");
-    for (i, s) in snapshots.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"median_ns\": {}, \
-             \"min_ns\": {}, \"max_ns\": {}}}{}\n",
-            s.name,
-            s.iters,
-            s.median_ns,
-            s.min_ns,
-            s.max_ns,
-            if i + 1 < snapshots.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
+    let json = simkit::json_object! { "sha": sha, "benches": snapshots }.to_pretty() + "\n";
 
     let path = format!("{out_dir}/BENCH_{sha}.json");
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -12,11 +12,12 @@
 //! toggles into fluid streams.
 
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::{SimDuration, SimTime};
 
 /// How interference on one node behaves over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InterferencePattern {
     /// Always on from t=0 (the paper's `dd` pair on the handicapped node).
     Persistent,
@@ -39,13 +40,36 @@ pub enum InterferencePattern {
     TraceDriven(Vec<(SimTime, f64)>),
 }
 
+impl FromJson for InterferencePattern {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let (name, payload) = r.variant()?;
+        let pattern = match (name.as_str(), payload) {
+            ("Persistent", false) => InterferencePattern::Persistent,
+            ("Alternating", true) => {
+                read_json_fields!(r, InterferencePattern::Alternating { period, start_on })
+            }
+            ("Custom", true) => InterferencePattern::Custom(Vec::read(r)?),
+            ("TraceDriven", true) => InterferencePattern::TraceDriven(Vec::read(r)?),
+            _ => return Err(r.unknown_variant(&name, payload)),
+        };
+        r.end_variant(payload)?;
+        Ok(pattern)
+    }
+}
+
 /// A single on/off transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Toggle {
     /// When the transition happens.
     pub at: SimTime,
     /// The state after the transition.
     pub on: bool,
+}
+
+impl FromJson for Toggle {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, Toggle { at, on }))
+    }
 }
 
 /// Default fluid weight of one interference reader. A `dd` with direct IO
@@ -72,7 +96,7 @@ pub const DD_WEIGHT: f64 = 40.0;
 /// assert!(toggles[0].on && !toggles[1].on);
 /// assert!((s.duty_cycle(SimTime::from_secs(60)) - 0.5).abs() < 0.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceSchedule {
     /// The node whose disk is attacked.
     pub node: NodeId,
@@ -82,6 +106,20 @@ pub struct InterferenceSchedule {
     pub weight: f64,
     /// Temporal pattern.
     pub pattern: InterferencePattern,
+}
+
+impl FromJson for InterferenceSchedule {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(
+            r,
+            InterferenceSchedule {
+                node,
+                streams,
+                weight,
+                pattern,
+            }
+        ))
+    }
 }
 
 impl InterferenceSchedule {

@@ -6,10 +6,8 @@
 //! fits under the configured hard limit (§IV-A1), and the peak footprint
 //! for Figure 7.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte-accurate memory reservation tracker with a hard limit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryStore {
     capacity: u64,
     used: u64,

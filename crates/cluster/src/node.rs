@@ -2,13 +2,20 @@
 
 use crate::memory::MemoryStore;
 use dyrs_tiers::TierStackSpec;
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::FluidResource;
 use std::fmt;
 
 /// Identifies a node (DataNode / DYRS slave host) within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
+
+impl FromJson for NodeId {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        u32::read(r).map(NodeId)
+    }
+}
 
 impl NodeId {
     /// Index into per-node vectors.
@@ -25,7 +32,7 @@ impl fmt::Display for NodeId {
 }
 
 /// Static description of one node's hardware.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Sequential disk bandwidth with a single reader, bytes/sec.
     pub disk_bw: f64,
@@ -40,13 +47,25 @@ pub struct NodeSpec {
     pub nic_bw: f64,
     /// Rack the node lives in (HDFS-style topology; the paper's testbed
     /// is a single rack, so the default is rack 0 everywhere).
-    #[serde(default)]
     pub rack: u32,
     /// Explicit storage hierarchy, fastest tier first. `None` (the
     /// default, and every pre-tier config) means the legacy 2-tier
     /// memory-over-disk stack derived from the fields above.
-    #[serde(default)]
     pub tiers: Option<TierStackSpec>,
+}
+
+impl FromJson for NodeSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, NodeSpec {
+            disk_bw,
+            disk_degradation,
+            mem_capacity,
+            membus_bw,
+            nic_bw,
+            rack = 0,
+            tiers = None,
+        }))
+    }
 }
 
 impl NodeSpec {
@@ -142,11 +161,17 @@ impl Node {
 }
 
 /// Static description of a whole cluster.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// One spec per worker node (the NameNode/master host is not modeled
     /// as a storage node, matching the paper's 1 + 7 layout).
     pub nodes: Vec<NodeSpec>,
+}
+
+impl FromJson for ClusterSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, ClusterSpec { nodes }))
+    }
 }
 
 impl ClusterSpec {

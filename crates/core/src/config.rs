@@ -1,12 +1,13 @@
 //! DYRS configuration knobs.
 
 use crate::policy::MigrationOrder;
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::SimDuration;
 
 /// Tunables for the DYRS master and slaves. Defaults follow the paper's
 /// description and HDFS conventions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DyrsConfig {
     /// Slave → master heartbeat interval (HDFS DataNode default: 3 s; the
     /// paper's adaptation experiments respond on the order of seconds, so
@@ -29,35 +30,48 @@ pub struct DyrsConfig {
     /// Pending-list discipline at the master (paper: FIFO; SJF and EDF
     /// are the future-work alternatives, see
     /// [`MigrationOrder`]).
-    #[serde(default)]
     pub migration_order: MigrationOrder,
     /// Maximum concurrent migrations per slave disk. The paper
     /// "serializes migrations and moves one block at a time into memory
     /// in order to limit disk read concurrency" (§III-B); values > 1
     /// exist for the ablation study quantifying that choice.
-    #[serde(default = "default_max_concurrent")]
     pub max_concurrent_migrations: usize,
     /// Enable the §IV-A in-progress estimate refresh (update the estimate
     /// every heartbeat once an active migration runs past it). The paper
     /// added this after observing slow adaptation to sudden bandwidth
     /// drops; setting it to `false` reproduces their earlier prototype
     /// for the ablation study.
-    #[serde(default = "default_true")]
     pub in_progress_refresh: bool,
     /// Gray-failure detector: heartbeat deadlines, bounded retry, and
     /// per-node quarantine.
-    #[serde(default)]
     pub failure_detector: FailureDetectorConfig,
     /// Pending-migration scheduler: which Algorithm 1 engine runs and how
     /// eagerly estimate drift dirties nodes.
-    #[serde(default)]
     pub scheduler: SchedulerConfig,
     /// Up/down-tier decision policy on multi-tier buffer stacks: Baseline
     /// reproduces the paper's memory-only reference-list protocol (with
     /// demote-on-pressure retention), Hotness additionally promotes
     /// middle-tier hits back into memory. Ignored on 2-tier stacks.
-    #[serde(default)]
     pub tier_policy: dyrs_tiers::TierPolicyKind,
+}
+
+impl FromJson for DyrsConfig {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let d = DyrsConfig::default();
+        Ok(read_json_fields!(r, DyrsConfig {
+            heartbeat_interval,
+            retarget_interval,
+            ewma_alpha,
+            queue_slack,
+            scavenge_threshold,
+            migration_order = d.migration_order,
+            max_concurrent_migrations = d.max_concurrent_migrations,
+            in_progress_refresh = d.in_progress_refresh,
+            failure_detector = d.failure_detector,
+            scheduler = d.scheduler,
+            tier_policy = d.tier_policy,
+        }))
+    }
 }
 
 /// Which Algorithm 1 implementation the master's scheduler runs. Both
@@ -65,7 +79,7 @@ pub struct DyrsConfig {
 /// proptests); the reference pass is the executable form of the paper's
 /// pseudocode, the differential-testing oracle, and the walk the sharded
 /// engine falls back to at its cascade ceiling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedEngine {
     /// The paper's full rescan: every pending entry rescored every pass.
     Reference,
@@ -79,11 +93,19 @@ pub enum SchedEngine {
     Sharded,
 }
 
+impl FromJson for SchedEngine {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.unit_variant(&[
+            ("Reference", SchedEngine::Reference),
+            ("Sharded", SchedEngine::Sharded),
+        ])
+    }
+}
+
 /// Scheduler engine selection and dirty-set thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Which retarget engine runs.
-    #[serde(default)]
     pub engine: SchedEngine,
     /// Relative threshold below which a node's seconds-per-byte drift is
     /// ignored by the scoring snapshot (the node is not dirtied and keeps
@@ -91,14 +113,12 @@ pub struct SchedulerConfig {
     /// exactly, keeping decisions identical to the paper's master;
     /// positive values trade estimate freshness for fewer rescores under
     /// EWMA jitter. Queued-bytes and candidacy changes always apply.
-    #[serde(default)]
     pub spb_epsilon: f64,
     /// Number of range shards the pending store partitions into. `1`
     /// (the default) reproduces the monolithic layout exactly; larger
     /// counts spread `by_block`/`replica_idx`/bind-queue state over
     /// shards keyed by block-id range. Drain order is unchanged at any
     /// value (cross-shard K-way merge over the `OrderKey` total order).
-    #[serde(default = "default_shards")]
     pub shards: usize,
     /// Cascade cost ceiling for the `Sharded` engine: when a pass's
     /// visit set in any one shard exceeds this fraction of the shard's
@@ -108,12 +128,19 @@ pub struct SchedulerConfig {
     /// The default, `0.25`, sends dense passes (a fleet-wide heartbeat
     /// round, the first pass over a fresh queue) down the sequential walk
     /// and keeps sparse ones incremental. `0.0` disables the ceiling.
-    #[serde(default)]
     pub cascade_ceiling: f64,
 }
 
-fn default_shards() -> usize {
-    1
+impl FromJson for SchedulerConfig {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let d = SchedulerConfig::default();
+        Ok(read_json_fields!(r, SchedulerConfig {
+            engine = d.engine,
+            spb_epsilon = d.spb_epsilon,
+            shards = d.shards,
+            cascade_ceiling = d.cascade_ceiling,
+        }))
+    }
 }
 
 impl Default for SchedulerConfig {
@@ -121,7 +148,7 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             engine: SchedEngine::default(),
             spb_epsilon: 0.0,
-            shards: default_shards(),
+            shards: 1,
             cascade_ceiling: 0.25,
         }
     }
@@ -133,112 +160,76 @@ impl Default for SchedulerConfig {
 /// layer covers the space in between — a node whose heartbeats stall, or
 /// whose bound migrations crawl, without the node ever failing outright.
 /// Disabling it (`enabled: false`) restores the paper's exact behavior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureDetectorConfig {
     /// Master-side detector on/off switch.
-    #[serde(default = "default_true")]
     pub enabled: bool,
     /// A node missing heartbeats for this long becomes *suspect*: its
     /// bound-but-unstarted migrations are unbound back to pending and it
     /// leaves Algorithm 1 candidacy until it heartbeats again. Must exceed
     /// the heartbeat interval with slack for ordinary jitter.
-    #[serde(default = "default_suspect_after")]
     pub suspect_after: SimDuration,
     /// A bound migration not finished within this many multiples of the
     /// node's own estimate (`spb · bytes`, floored by `stuck_floor`) is
     /// declared stuck and re-bound elsewhere.
-    #[serde(default = "default_stuck_multiple")]
     pub stuck_multiple: f64,
     /// Lower bound on the stuck deadline, so cheap blocks on fast disks
     /// are not declared stuck over scheduling noise.
-    #[serde(default = "default_stuck_floor")]
     pub stuck_floor: SimDuration,
     /// Total binding attempts per block before the master gives up with a
     /// terminal `retries-exhausted` abort.
-    #[serde(default = "default_max_attempts")]
     pub max_attempts: u32,
     /// Base of the deterministic exponential backoff between attempts:
     /// attempt k re-enters candidacy after `retry_backoff · 2^(k−1)`.
-    #[serde(default = "default_retry_backoff")]
     pub retry_backoff: SimDuration,
     /// Strikes (suspect transitions or stuck migrations) within
     /// `strike_window` that quarantine a node.
-    #[serde(default = "default_quarantine_strikes")]
     pub quarantine_strikes: u32,
     /// Sliding window over which strikes are counted.
-    #[serde(default = "default_strike_window")]
     pub strike_window: SimDuration,
     /// How long a quarantined node is barred from candidacy before it may
     /// run a probation migration.
-    #[serde(default = "default_quarantine_backoff")]
     pub quarantine_backoff: SimDuration,
     /// Admission ramp for a `Joining` node: how many migrations it must
     /// complete before it graduates to full `Healthy` candidacy. While
     /// joining, a pull may bind at most `1 + completed` migrations, so a
     /// cold node warms its estimator before absorbing a full queue.
-    #[serde(default = "default_join_ramp_target")]
     pub join_ramp_target: u32,
 }
 
-fn default_suspect_after() -> SimDuration {
-    SimDuration::from_secs(3)
-}
-
-fn default_stuck_multiple() -> f64 {
-    8.0
-}
-
-fn default_stuck_floor() -> SimDuration {
-    SimDuration::from_secs(20)
-}
-
-fn default_max_attempts() -> u32 {
-    4
-}
-
-fn default_retry_backoff() -> SimDuration {
-    SimDuration::from_secs(1)
-}
-
-fn default_quarantine_strikes() -> u32 {
-    3
-}
-
-fn default_strike_window() -> SimDuration {
-    SimDuration::from_secs(30)
-}
-
-fn default_quarantine_backoff() -> SimDuration {
-    SimDuration::from_secs(10)
-}
-
-fn default_join_ramp_target() -> u32 {
-    4
+impl FromJson for FailureDetectorConfig {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        let d = FailureDetectorConfig::default();
+        Ok(read_json_fields!(r, FailureDetectorConfig {
+            enabled = d.enabled,
+            suspect_after = d.suspect_after,
+            stuck_multiple = d.stuck_multiple,
+            stuck_floor = d.stuck_floor,
+            max_attempts = d.max_attempts,
+            retry_backoff = d.retry_backoff,
+            quarantine_strikes = d.quarantine_strikes,
+            strike_window = d.strike_window,
+            quarantine_backoff = d.quarantine_backoff,
+            join_ramp_target = d.join_ramp_target,
+        }))
+    }
 }
 
 impl Default for FailureDetectorConfig {
     fn default() -> Self {
         FailureDetectorConfig {
             enabled: true,
-            suspect_after: default_suspect_after(),
-            stuck_multiple: default_stuck_multiple(),
-            stuck_floor: default_stuck_floor(),
-            max_attempts: default_max_attempts(),
-            retry_backoff: default_retry_backoff(),
-            quarantine_strikes: default_quarantine_strikes(),
-            strike_window: default_strike_window(),
-            quarantine_backoff: default_quarantine_backoff(),
-            join_ramp_target: default_join_ramp_target(),
+            suspect_after: SimDuration::from_secs(3),
+            stuck_multiple: 8.0,
+            stuck_floor: SimDuration::from_secs(20),
+            max_attempts: 4,
+            retry_backoff: SimDuration::from_secs(1),
+            quarantine_strikes: 3,
+            strike_window: SimDuration::from_secs(30),
+            quarantine_backoff: SimDuration::from_secs(10),
+            join_ramp_target: 4,
         }
     }
-}
-
-fn default_max_concurrent() -> usize {
-    1
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl Default for DyrsConfig {
@@ -250,8 +241,8 @@ impl Default for DyrsConfig {
             queue_slack: 1,
             scavenge_threshold: 0.8,
             migration_order: MigrationOrder::Fifo,
-            max_concurrent_migrations: default_max_concurrent(),
-            in_progress_refresh: default_true(),
+            max_concurrent_migrations: 1,
+            in_progress_refresh: true,
             failure_detector: FailureDetectorConfig::default(),
             scheduler: SchedulerConfig::default(),
             tier_policy: dyrs_tiers::TierPolicyKind::default(),

@@ -4,7 +4,7 @@
 //! improve performance"; §III-B: "More sophisticated scheduling between
 //! applications can be implemented at the master").
 
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
 
 /// Order in which the master considers pending migrations — both for the
 /// Algorithm 1 targeting pass and for bind-on-pull responses.
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// * [`MigrationOrder::EarliestDeadlineFirst`] — blocks whose job will
 ///   start reading soonest come first, directly maximizing the chance a
 ///   block is in memory by its expected read time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MigrationOrder {
     /// First-in-first-out (the paper's published policy).
     #[default]
@@ -30,6 +30,19 @@ pub enum MigrationOrder {
     SmallestJobFirst,
     /// Prioritize blocks of the job with the earliest expected launch.
     EarliestDeadlineFirst,
+}
+
+impl FromJson for MigrationOrder {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.unit_variant(&[
+            ("Fifo", MigrationOrder::Fifo),
+            ("SmallestJobFirst", MigrationOrder::SmallestJobFirst),
+            (
+                "EarliestDeadlineFirst",
+                MigrationOrder::EarliestDeadlineFirst,
+            ),
+        ])
+    }
 }
 
 impl MigrationOrder {
@@ -55,7 +68,7 @@ impl MigrationOrder {
 /// Which migration scheme the cluster runs. One enum drives both the
 /// master's binding behaviour and the simulator's setup, so every
 /// experiment can sweep configurations uniformly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationPolicy {
     /// Plain HDFS: no migration at all; cold reads come from disk.
     Disabled,
@@ -73,6 +86,18 @@ pub enum MigrationPolicy {
     Naive,
     /// Full DYRS: delayed binding plus the Algorithm 1 targeting pass.
     Dyrs,
+}
+
+impl FromJson for MigrationPolicy {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.unit_variant(&[
+            ("Disabled", MigrationPolicy::Disabled),
+            ("InstantRam", MigrationPolicy::InstantRam),
+            ("Ignem", MigrationPolicy::Ignem),
+            ("Naive", MigrationPolicy::Naive),
+            ("Dyrs", MigrationPolicy::Dyrs),
+        ])
+    }
 }
 
 impl MigrationPolicy {

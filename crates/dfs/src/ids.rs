@@ -1,20 +1,26 @@
 //! Identifier newtypes shared across the file system and DYRS.
 
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
 use std::fmt;
 
 /// Identifies one block in the file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// Identifies one file in the namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u32);
 
 /// Identifies a client job. DYRS reference lists (paper §III-C3) are keyed
 /// by job id: a block is evictable once no live job still references it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
+
+impl FromJson for JobId {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        u64::read(r).map(JobId)
+    }
+}
 
 impl FileId {
     /// Index into per-file vectors.

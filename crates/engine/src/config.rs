@@ -1,6 +1,7 @@
 //! Engine tunables.
 
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::SimDuration;
 
 /// Execution-engine configuration. Defaults approximate the paper's
@@ -17,7 +18,7 @@ use simkit::SimDuration;
 /// let compute = cfg.map_compute(256 << 20, 1.0).as_secs_f64();
 /// assert!(compute < (256 << 20) as f64 / cfg.disk_read_cap / 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Concurrent map tasks per node (YARN containers dedicated to maps).
     pub map_slots_per_node: usize,
@@ -66,7 +67,6 @@ pub struct EngineConfig {
     /// write time into compute. Off by default — the calibrated baseline —
     /// and exercised by the sensitivity study to show the headline
     /// conclusions survive dirtier disks.
-    #[serde(default)]
     pub model_spill_writes: bool,
     /// Containers granted per scheduling tick per job (YARN's RM hands a
     /// job its containers over several allocation rounds, not all at
@@ -75,6 +75,29 @@ pub struct EngineConfig {
     pub container_grant_per_tick: usize,
     /// Interval between container grant rounds.
     pub container_grant_tick: SimDuration,
+}
+
+impl FromJson for EngineConfig {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, EngineConfig {
+            map_slots_per_node,
+            reduce_slots_per_node,
+            platform_overhead,
+            map_task_overhead,
+            map_cpu_secs_per_byte,
+            shuffle_bw,
+            reduce_cpu_secs_per_byte,
+            reduce_task_overhead,
+            disk_read_cap,
+            mem_read_cap,
+            speculative_factor,
+            speculative_slack,
+            speculative_max_attempts,
+            model_spill_writes = false,
+            container_grant_per_tick,
+            container_grant_tick,
+        }))
+    }
 }
 
 impl Default for EngineConfig {

@@ -1,7 +1,8 @@
 //! Jobs: specs and live state.
 
 use dyrs_dfs::JobId;
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::{SimDuration, SimTime};
 
 /// How a job releases its migrated blocks — re-exported shape of
@@ -9,7 +10,7 @@ use simkit::{SimDuration, SimTime};
 /// depend on the dyrs core crate (dependencies point the other way in the
 /// real system too: the framework is oblivious to the file system's
 /// migration layer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Submitted but not yet runnable (platform overhead / dependencies).
     Submitted,
@@ -22,7 +23,7 @@ pub enum JobStatus {
 }
 
 /// Static description of one MapReduce job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Unique id.
     pub id: JobId,
@@ -48,6 +49,26 @@ pub struct JobSpec {
     /// Multiplier on the engine's per-byte map compute cost: 1.0 for
     /// light trace-replay mappers, higher for CPU-heavy Hive operators.
     pub cpu_factor: f64,
+}
+
+impl FromJson for JobSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(
+            r,
+            JobSpec {
+                id,
+                name,
+                submit_at,
+                depends_on,
+                input_files,
+                shuffle_bytes,
+                reduce_tasks,
+                extra_lead_time,
+                implicit_eviction,
+                cpu_factor,
+            }
+        ))
+    }
 }
 
 impl JobSpec {
@@ -166,7 +187,7 @@ impl JobSpecBuilder {
 
 /// Live job state: stage progress and the timestamps the evaluation
 /// reports (submission → first task → map phase end → job end).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobState {
     /// The spec.
     pub spec: JobSpec,

@@ -51,7 +51,7 @@ const EPSILONS: &[f64] = &[0.0, 1e-4, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1, 2e-1];
 struct EpsRun {
     epsilon: f64,
     /// Entries rescored per tick (mean over the measured ticks).
-    rescored_mean: f64,
+    rescored_per_tick: f64,
     /// Share of the exact run's rescoring this ε still performs.
     work_vs_exact: f64,
     /// Fraction of ticks whose pass tripped the cascade ceiling (and so
@@ -68,6 +68,16 @@ struct EpsRun {
     /// drift-vs-exact alone overstates ε's error.
     churn_mean: f64,
 }
+
+simkit::impl_to_json!(EpsRun {
+    epsilon,
+    rescored_per_tick,
+    work_vs_exact,
+    ceiling_frac,
+    drift_mean,
+    drift_max,
+    churn_mean,
+});
 
 /// Per-tick sampled targets for one run: `targets[tick][sample]`.
 type SampledTargets = Vec<Vec<Option<NodeId>>>;
@@ -188,7 +198,7 @@ fn main() {
         }
         let row = EpsRun {
             epsilon: eps,
-            rescored_mean,
+            rescored_per_tick: rescored_mean,
             work_vs_exact: rescored_mean / exact_mean,
             ceiling_frac,
             drift_mean,
@@ -199,7 +209,7 @@ fn main() {
             "eps {:>7.0e}: rescored/tick {:>12.0} ({:>5.1}% of exact)  \
              ceiling {:>5.1}%  drift mean {:.3}% max {:.3}%  churn {:.3}%",
             row.epsilon,
-            row.rescored_mean,
+            row.rescored_per_tick,
             100.0 * row.work_vs_exact,
             100.0 * row.ceiling_frac,
             100.0 * row.drift_mean,
@@ -209,28 +219,14 @@ fn main() {
         rows.push(row);
     }
 
-    // Hand-rolled JSON (the vendored serde stack is a no-op stub).
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"pending\": {pending},\n  \"nodes\": {nodes},\n  \"ticks\": {TICKS},\n"
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"epsilon\": {}, \"rescored_per_tick\": {:.1}, \
-             \"work_vs_exact\": {:.6}, \"ceiling_frac\": {:.6}, \
-             \"drift_mean\": {:.6}, \"drift_max\": {:.6}, \"churn_mean\": {:.6}}}{}\n",
-            r.epsilon,
-            r.rescored_mean,
-            r.work_vs_exact,
-            r.ceiling_frac,
-            r.drift_mean,
-            r.drift_max,
-            r.churn_mean,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
+    let json = simkit::json_object! {
+        "pending": pending,
+        "nodes": nodes,
+        "ticks": TICKS,
+        "sweep": rows,
     }
-    json.push_str("  ]\n}\n");
+    .to_pretty()
+        + "\n";
     std::fs::write(&out, &json).unwrap_or_else(|e| panic!("write {out}: {e}"));
     println!("wrote {out}");
 }

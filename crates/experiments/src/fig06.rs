@@ -7,11 +7,10 @@
 
 use crate::render::{secs, TextTable};
 use crate::scenarios::swim_runs;
-use serde::{Deserialize, Serialize};
 use simkit::stats::Quantiles;
 
 /// Map-task duration summary for one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MapTaskSummary {
     /// Configuration name.
     pub config: String,
@@ -29,12 +28,24 @@ pub struct MapTaskSummary {
     pub cdf: Vec<(f64, f64)>,
 }
 
+simkit::impl_to_json!(MapTaskSummary {
+    config,
+    count,
+    mean,
+    p50,
+    p90,
+    p99,
+    cdf
+});
+
 /// Figure 6 data.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Summaries in paper-config order.
     pub summaries: Vec<MapTaskSummary>,
 }
+
+simkit::impl_to_json!(Fig6 { summaries });
 
 impl Fig6 {
     /// Summary lookup.

@@ -15,10 +15,9 @@ use crate::runner::{run_all, SimTask};
 use crate::scenarios::{hetero_config, swim_params};
 use dyrs::{MigrationOrder, MigrationPolicy};
 use dyrs_workloads::swim::{self, size_bin, SizeBin};
-use serde::{Deserialize, Serialize};
 
 /// Metrics for one ordering discipline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrderRow {
     /// Discipline name ("FIFO" / "SJF" / "EDF").
     pub order: String,
@@ -34,12 +33,23 @@ pub struct OrderRow {
     pub missed_reads: u64,
 }
 
+simkit::impl_to_json!(OrderRow {
+    order,
+    mean_job_secs,
+    small_job_secs,
+    large_job_secs,
+    memory_fraction,
+    missed_reads
+});
+
 /// The full study.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyStudy {
     /// One row per discipline, in [`MigrationOrder::all`] order.
     pub rows: Vec<OrderRow>,
 }
+
+simkit::impl_to_json!(PolicyStudy { rows });
 
 impl PolicyStudy {
     /// Row lookup.

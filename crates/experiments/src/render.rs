@@ -3,7 +3,7 @@
 //! The harness prints the same rows/series the paper's tables and figures
 //! report; these helpers keep the formatting uniform across experiments.
 
-use serde::Serialize;
+use simkit::json::ToJson;
 use std::fmt::Write as _;
 
 /// A simple aligned text table.
@@ -140,9 +140,9 @@ pub fn ascii_series(points: &[(f64, f64)], width: usize, height: usize) -> Strin
     out
 }
 
-/// Serialize any result to pretty JSON for machine consumption.
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("results are serializable")
+/// Render any result as pretty JSON for machine consumption.
+pub fn to_json<T: ToJson + ?Sized>(value: &T) -> String {
+    value.to_json().to_pretty()
 }
 
 #[cfg(test)]
@@ -189,12 +189,30 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "needs the real serde_json: the offline stand-in renders null (vendor/README.md)"]
     fn json_roundtrip() {
-        #[derive(Serialize)]
         struct S {
             x: u32,
+            y: Vec<(f64, f64)>,
         }
-        assert!(to_json(&S { x: 4 }).contains("\"x\": 4"));
+        simkit::impl_to_json!(S { x, y });
+        let s = S {
+            x: 4,
+            y: vec![(0.5, 2.0)],
+        };
+        let text = to_json(&s);
+        assert_eq!(
+            text,
+            "{\n  \"x\": 4,\n  \"y\": [\n    [\n      0.5,\n      2\n    ]\n  ]\n}"
+        );
+        let back = simkit::json::Value::parse(&text).expect("valid JSON");
+        assert_eq!(back.get("x").and_then(|v| v.as_u64()), Some(4));
+        // `2.0` is written as `2` and reads back as an integer: equal as a number.
+        let pair = back
+            .get("y")
+            .and_then(|y| y.as_array())
+            .expect("y is an array")[0]
+            .as_array()
+            .map(|p| p.iter().filter_map(|v| v.as_f64()).collect::<Vec<_>>());
+        assert_eq!(pair, Some(vec![0.5, 2.0]));
     }
 }

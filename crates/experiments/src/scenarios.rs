@@ -4,8 +4,12 @@
 use crate::runner::{run_all, SimTask};
 use dyrs::MigrationPolicy;
 use dyrs_cluster::{InterferenceSchedule, NodeId};
+use dyrs_engine::JobSpec;
 use dyrs_sim::{SimConfig, SimResult};
 use dyrs_workloads::{swim, Workload};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
+use std::path::Path;
 
 /// The handicapped node used throughout the evaluation (§V-C): the paper
 /// creates fixed heterogeneity by running `dd` readers against one node.
@@ -14,6 +18,32 @@ pub const SLOW_NODE: NodeId = NodeId(0);
 /// Number of `dd`-style readers on the slow node (the paper runs "two
 /// Linux dd jobs"; each is modeled as one saturating disk stream).
 pub const DD_STREAMS: u32 = 2;
+
+/// A scenario file (the `scenario` binary's input, see
+/// `examples/scenarios/`): a full [`SimConfig`] plus the workload.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScenarioFile {
+    /// Everything the simulation is built from.
+    pub config: SimConfig,
+    /// The jobs it runs.
+    pub jobs: Vec<JobSpec>,
+}
+
+impl FromJson for ScenarioFile {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, ScenarioFile { config, jobs }))
+    }
+}
+
+impl ScenarioFile {
+    /// Read and parse the file at `path`. An unreadable file reports
+    /// `path: reason`; bad contents report `path:line:col: message`, with
+    /// the key path of the offending value in the message.
+    pub fn load(path: &Path) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        json::from_str(&text).map_err(|e| format!("{}:{e}", path.display()))
+    }
+}
 
 /// The paper's heterogeneous evaluation cluster: 7 workers with
 /// persistent interference on [`SLOW_NODE`].

@@ -7,10 +7,9 @@
 use crate::render::{pct, secs, TextTable};
 use crate::scenarios::swim_runs;
 use dyrs::MigrationPolicy;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Configuration name.
     pub config: String,
@@ -20,12 +19,20 @@ pub struct Table1Row {
     pub speedup_vs_hdfs: Option<f64>,
 }
 
+simkit::impl_to_json!(Table1Row {
+    config,
+    mean_duration_secs,
+    speedup_vs_hdfs
+});
+
 /// Full Table I result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Rows in paper order (HDFS, RAM, Ignem, DYRS).
     pub rows: Vec<Table1Row>,
 }
+
+simkit::impl_to_json!(Table1 { rows });
 
 impl Table1 {
     /// Row lookup by policy name.

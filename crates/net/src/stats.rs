@@ -5,14 +5,15 @@
 //!
 //! The scrape functions are transport-generic so the same code path
 //! serves the CLI over TCP, the loopback tests, and anything embedding
-//! a transport. Rendering is hand-rolled (the vendored `serde` is a
-//! no-op stub) in the same style as `dyrs-obs`'s JSONL export: every
-//! string is escaped, every float prints via [`fmt_f64`] so non-finite
-//! values never produce invalid JSON.
+//! a transport. JSON goes through `simkit::json`, like `dyrs-obs`'s
+//! JSONL export: every string is escaped, and a non-finite float prints
+//! as `null` so the output is always valid JSON.
 
 use crate::proto::{Message, StatsScope};
 use crate::transport::{Peer, Transport, TransportError};
 use dyrs_obs::{FlightRecord, StatsSnapshot};
+use simkit::json::{ToJson, Value};
+use simkit::json_object;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -78,88 +79,50 @@ pub fn scrape_flight<T: Transport>(
     Err(TransportError::Timeout)
 }
 
-/// Escape a string for a JSON string literal or a Prometheus label
-/// value (the escapes coincide for the characters we emit).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render an `f64` as a JSON-safe token (`null` for non-finite values,
-/// mirroring `dyrs-obs`'s export convention).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
 /// Render scrapes as a JSON array, one object per daemon.
 pub fn render_json(scrapes: &[Scrape]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in scrapes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let snap = &s.snapshot;
-        let _ = write!(
-            out,
-            "{{\"daemon\":\"{}\",\"at_us\":{},\"enabled\":{},",
-            escape(&s.label),
-            snap.at.as_micros(),
-            snap.enabled
-        );
-        out.push_str("\"counters\":{");
-        for (j, (name, v)) in snap.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+    let daemons: Vec<Value> = scrapes
+        .iter()
+        .map(|s| {
+            let snap = &s.snapshot;
+            let gauges: Vec<Value> = snap
+                .gauges
+                .iter()
+                .map(|g| json_object! { "name": g.name, "key": g.key, "value": g.value, "at_us": g.at })
+                .collect();
+            let winners: Vec<Value> = snap
+                .top_winners
+                .iter()
+                .map(|&(node, won)| json_object! { "node": node, "won": won })
+                .collect();
+            json_object! {
+                "daemon": s.label,
+                "at_us": snap.at,
+                "enabled": snap.enabled,
+                "counters": object(&snap.counters),
+                "gauges": gauges,
+                "open_spans": object(&snap.open_spans),
+                "top_winners": winners,
             }
-            let _ = write!(out, "\"{}\":{v}", escape(name));
-        }
-        out.push_str("},\"gauges\":[");
-        for (j, g) in snap.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"key\":{},\"value\":{},\"at_us\":{}}}",
-                escape(&g.name),
-                g.key,
-                fmt_f64(g.value),
-                g.at.as_micros()
-            );
-        }
-        out.push_str("],\"open_spans\":{");
-        for (j, (state, n)) in snap.open_spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{n}", escape(state));
-        }
-        out.push_str("},\"top_winners\":[");
-        for (j, (node, won)) in snap.top_winners.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"node\":{node},\"won\":{won}}}");
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
-    out
+        })
+        .collect();
+    Value::Arr(daemons).to_string()
+}
+
+/// `(name, count)` pairs as one JSON object.
+fn object(pairs: &[(String, u64)]) -> Value {
+    Value::Obj(
+        pairs
+            .iter()
+            .map(|(k, v)| (k.clone(), v.to_json()))
+            .collect(),
+    )
+}
+
+/// A Prometheus label value: the escapes coincide with a JSON string
+/// literal's for the characters the admin plane emits.
+fn label(s: &str) -> String {
+    s.to_json().to_string()
 }
 
 /// Render scrapes in Prometheus text exposition style: one
@@ -168,41 +131,34 @@ pub fn render_json(scrapes: &[Scrape]) -> String {
 pub fn render_prometheus(scrapes: &[Scrape]) -> String {
     let mut out = String::new();
     for s in scrapes {
-        let d = escape(&s.label);
+        let d = label(&s.label);
         let snap = &s.snapshot;
         let _ = writeln!(
             out,
-            "dyrs_snapshot_at_us{{daemon=\"{d}\"}} {}",
+            "dyrs_snapshot_at_us{{daemon={d}}} {}",
             snap.at.as_micros()
         );
         for (name, v) in &snap.counters {
-            let _ = writeln!(
-                out,
-                "dyrs_counter{{daemon=\"{d}\",name=\"{}\"}} {v}",
-                escape(name)
-            );
+            let _ = writeln!(out, "dyrs_counter{{daemon={d},name={}}} {v}", label(name));
         }
         for g in &snap.gauges {
             let _ = writeln!(
                 out,
-                "dyrs_gauge{{daemon=\"{d}\",name=\"{}\",key=\"{}\"}} {}",
-                escape(&g.name),
+                "dyrs_gauge{{daemon={d},name={},key=\"{}\"}} {}",
+                label(&g.name),
                 g.key,
-                fmt_f64(g.value)
+                g.value.to_json()
             );
         }
         for (state, n) in &snap.open_spans {
             let _ = writeln!(
                 out,
-                "dyrs_open_spans{{daemon=\"{d}\",state=\"{}\"}} {n}",
-                escape(state)
+                "dyrs_open_spans{{daemon={d},state={}}} {n}",
+                label(state)
             );
         }
         for (node, won) in &snap.top_winners {
-            let _ = writeln!(
-                out,
-                "dyrs_top_winner{{daemon=\"{d}\",node=\"{node}\"}} {won}"
-            );
+            let _ = writeln!(out, "dyrs_top_winner{{daemon={d},node=\"{node}\"}} {won}");
         }
     }
     out
@@ -353,12 +309,24 @@ mod tests {
         let mut s = sample();
         s.label = "ma\"ster".into();
         s.snapshot.gauges[0].value = f64::NAN;
+        s.snapshot.counters.push(("tab\there\\".into(), 1));
         let json = render_json(&[s]);
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"daemon\":\"ma\\\"ster\""));
         assert!(json.contains("\"value\":null"));
         assert!(json.contains("\"span.finished\":3"));
         assert!(json.contains("{\"node\":1,\"won\":4}"));
+        // The whole document, byte for byte: `dyrs-node stat --json` output
+        // is a format scripts read.
+        assert_eq!(
+            json,
+            "[{\"daemon\":\"ma\\\"ster\",\"at_us\":2000000,\"enabled\":true,\
+             \"counters\":{\"span.finished\":3,\"tab\\u0009here\\\\\":1},\
+             \"gauges\":[{\"name\":\"sched.pending_depth\",\"key\":0,\"value\":null,\"at_us\":2000000},\
+             {\"name\":\"node.health\",\"key\":1,\"value\":3,\"at_us\":2000000},\
+             {\"name\":\"tier.occupancy_bytes\",\"key\":257,\"value\":3145728,\"at_us\":2000000}],\
+             \"open_spans\":{\"pending\":6},\"top_winners\":[{\"node\":1,\"won\":4}]}]"
+        );
     }
 
     #[test]

@@ -1,42 +1,34 @@
 //! Trace-file export: JSONL tables plus a Chrome `trace_event` file.
 //!
-//! The vendored `serde` is a compile-only stub, so all JSON here is built
-//! by hand. That is safe because every string that reaches an export is a
-//! controlled static identifier (state names, cause constants, metric
-//! names) — nothing needs escaping — and every number is either an integer
-//! or a finite `f64` (non-finite values are rendered as `null`
-//! defensively). Output ordering follows the deterministic container
-//! ordering of [`ObsReport`], so same-seed runs export byte-identical
-//! files.
+//! Every record is built as a [`simkit::json::Value`] and written compact,
+//! so strings are escaped and a non-finite `f64` renders as `null`. Output
+//! ordering follows the deterministic container ordering of
+//! [`ObsReport`], so same-seed runs export byte-identical files
+//! (`tests/determinism.rs` pins their bytes).
 
 use crate::report::ObsReport;
 use crate::span::SpanEvent;
-use std::fmt::Write as _;
+use simkit::json::Value;
+use simkit::json_object;
 use std::path::Path;
 
-/// Render an `f64` as a JSON value (`null` for non-finite input — Rust's
-/// `Display` would otherwise emit `NaN`/`inf`, which is not JSON).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+/// Append `v` and a newline: one JSONL record.
+fn push_line(out: &mut String, v: Value) {
+    v.write(out);
+    out.push('\n');
 }
 
-fn push_span_json(out: &mut String, ev: &SpanEvent) {
-    let _ = write!(
-        out,
-        "{{\"at_us\":{},\"migration\":{},\"block\":{},\"bytes\":{},\"state\":\"{}\",\"node\":{},\"cause\":\"{}\",\"job\":{}}}",
-        ev.at.as_micros(),
-        ev.migration,
-        ev.block,
-        ev.bytes,
-        ev.state.name(),
-        ev.node.map_or_else(|| "null".to_owned(), |n| n.to_string()),
-        ev.cause,
-        ev.job.map_or_else(|| "null".to_owned(), |j| j.to_string()),
-    );
+fn span_json(ev: &SpanEvent) -> Value {
+    json_object! {
+        "at_us": ev.at,
+        "migration": ev.migration,
+        "block": ev.block,
+        "bytes": ev.bytes,
+        "state": ev.state.name(),
+        "node": ev.node,
+        "cause": ev.cause,
+        "job": ev.job,
+    }
 }
 
 impl ObsReport {
@@ -44,8 +36,7 @@ impl ObsReport {
     pub fn spans_jsonl(&self) -> String {
         let mut out = String::new();
         for ev in &self.events {
-            push_span_json(&mut out, ev);
-            out.push('\n');
+            push_line(&mut out, span_json(ev));
         }
         out
     }
@@ -55,47 +46,30 @@ impl ObsReport {
     pub fn metrics_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}"
+            push_line(
+                &mut out,
+                json_object! { "kind": "counter", "name": name, "value": v },
             );
         }
         for ((name, key), ts) in &self.gauges {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"gauge\",\"name\":\"{name}\",\"key\":{key},\"points\":["
+            push_line(
+                &mut out,
+                json_object! { "kind": "gauge", "name": name, "key": key, "points": ts.points() },
             );
-            for (i, &(t, v)) in ts.points().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{},{}]", t.as_micros(), json_f64(v));
-            }
-            out.push_str("]}\n");
         }
         for (name, h) in &self.histograms {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"histogram\",\"name\":\"{name}\",\"edges\":["
-            );
-            for (i, &e) in h.edges().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64(e));
-            }
-            let _ = write!(out, "],\"underflow\":{},\"counts\":[", h.underflow());
-            for i in 0..h.num_bins() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}", h.bin_count(i));
-            }
-            let _ = writeln!(
-                out,
-                "],\"overflow\":{},\"total\":{}}}",
-                h.overflow(),
-                h.total()
+            let counts: Vec<u64> = (0..h.num_bins()).map(|i| h.bin_count(i)).collect();
+            push_line(
+                &mut out,
+                json_object! {
+                    "kind": "histogram",
+                    "name": name,
+                    "edges": h.edges(),
+                    "underflow": h.underflow(),
+                    "counts": counts,
+                    "overflow": h.overflow(),
+                    "total": h.total(),
+                },
             );
         }
         out
@@ -105,34 +79,30 @@ impl ObsReport {
     pub fn provenance_jsonl(&self) -> String {
         let mut out = String::new();
         for rec in self.provenance.iter() {
-            let _ = write!(
-                out,
-                "{{\"at_us\":{},\"pass\":{},\"migration\":{},\"block\":{},\"bytes\":{},\"candidates\":[",
-                rec.at.as_micros(),
-                rec.pass,
-                rec.migration,
-                rec.block,
-                rec.bytes,
-            );
-            for (i, c) in rec.candidates.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"node\":{},\"rank\":{},\"est_finish_secs\":{}}}",
-                    c.node,
-                    c.rank,
-                    json_f64(c.est_finish_secs),
-                );
-            }
-            let _ = writeln!(
-                out,
-                "],\"winner\":{},\"rescored\":{},\"skipped\":{}}}",
-                rec.winner
-                    .map_or_else(|| "null".to_owned(), |w| w.to_string()),
-                rec.rescored,
-                rec.skipped,
+            let candidates: Vec<Value> = rec
+                .candidates
+                .iter()
+                .map(|c| {
+                    json_object! {
+                        "node": c.node,
+                        "rank": c.rank,
+                        "est_finish_secs": c.est_finish_secs,
+                    }
+                })
+                .collect();
+            push_line(
+                &mut out,
+                json_object! {
+                    "at_us": rec.at,
+                    "pass": rec.pass,
+                    "migration": rec.migration,
+                    "block": rec.block,
+                    "bytes": rec.bytes,
+                    "candidates": candidates,
+                    "winner": rec.winner,
+                    "rescored": rec.rescored,
+                    "skipped": rec.skipped,
+                },
             );
         }
         out
@@ -146,14 +116,15 @@ impl ObsReport {
     /// become counter tracks (`ph:"C"`). Timestamps are already in
     /// microseconds, the unit `trace_event` expects.
     pub fn chrome_trace_json(&self) -> String {
+        // Written event by event rather than as one `Value`, so a long
+        // trace never holds a second copy of itself as a tree.
         let mut out = String::from("{\"traceEvents\":[");
         let mut first = true;
-        let mut sep = |out: &mut String| {
-            if first {
-                first = false;
-            } else {
+        let mut push = |out: &mut String, v: Value| {
+            if !std::mem::take(&mut first) {
                 out.push(',');
             }
+            v.write(out);
         };
 
         let mut seen = std::collections::BTreeSet::new();
@@ -166,33 +137,38 @@ impl ObsReport {
                 (true, true) => &["e"],
             };
             for ph in phases {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"{}\",\"cat\":\"migration\",\"name\":\"mig_{}\",\"id\":{},\"pid\":0,\"tid\":{},\"ts\":{},\"args\":{{\"state\":\"{}\",\"cause\":\"{}\",\"block\":{},\"bytes\":{}}}}}",
-                    ph,
-                    ev.migration,
-                    ev.migration,
-                    ev.node.unwrap_or(0),
-                    ev.at.as_micros(),
-                    ev.state.name(),
-                    ev.cause,
-                    ev.block,
-                    ev.bytes,
+                push(
+                    &mut out,
+                    json_object! {
+                        "ph": ph,
+                        "cat": "migration",
+                        "name": format!("mig_{}", ev.migration),
+                        "id": ev.migration,
+                        "pid": 0u32,
+                        "tid": ev.node.unwrap_or(0),
+                        "ts": ev.at,
+                        "args": json_object! {
+                            "state": ev.state.name(),
+                            "cause": ev.cause,
+                            "block": ev.block,
+                            "bytes": ev.bytes,
+                        },
+                    },
                 );
             }
         }
         for ((name, key), ts) in &self.gauges {
             for &(t, v) in ts.points() {
-                sep(&mut out);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"C\",\"name\":\"{}[{}]\",\"pid\":0,\"tid\":{},\"ts\":{},\"args\":{{\"value\":{}}}}}",
-                    name,
-                    key,
-                    key,
-                    t.as_micros(),
-                    json_f64(v),
+                push(
+                    &mut out,
+                    json_object! {
+                        "ph": "C",
+                        "name": format!("{name}[{key}]"),
+                        "pid": 0u32,
+                        "tid": key,
+                        "ts": t,
+                        "args": json_object! { "value": v },
+                    },
                 );
             }
         }
@@ -344,9 +320,20 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_gauge_values_render_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.25), "1.25");
+    fn non_finite_scores_render_null() {
+        let mut r = ObsReport::default();
+        let mut pass = ProvenanceBatch::default();
+        let score = |node, est_finish_secs| CandidateScore {
+            node,
+            rank: 0,
+            est_finish_secs,
+            tier: 0,
+        };
+        pass.push(1, 1, 8, None, [score(0, f64::NAN), score(1, f64::INFINITY)]);
+        r.provenance.push(pass, SimTime::ZERO, 0, 1, 0);
+        assert!(r.provenance_jsonl().contains(
+            "[{\"node\":0,\"rank\":0,\"est_finish_secs\":null},\
+             {\"node\":1,\"rank\":0,\"est_finish_secs\":null}]"
+        ));
     }
 }

@@ -1,7 +1,6 @@
 //! The collected observability data for one simulation run.
 
 use crate::span::{ProvenanceLog, SpanEvent};
-use serde::{Deserialize, Serialize};
 use simkit::stats::{Histogram, TimeSeries};
 use std::collections::BTreeMap;
 
@@ -14,7 +13,7 @@ use std::collections::BTreeMap;
 /// All containers iterate deterministically (`Vec` in recording order,
 /// `BTreeMap` in key order), which is what makes the exported trace files
 /// byte-identical across same-seed runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ObsReport {
     /// Whether recording was active. `false` means the run was executed
     /// with observability off (disconnected handle or `obs` feature

@@ -11,7 +11,6 @@
 //! ([`ProvenanceView`]), so the exported lines stay just as
 //! self-contained.
 
-use serde::{Deserialize, Serialize};
 use simkit::SimTime;
 
 /// One state in a migration's lifecycle.
@@ -22,7 +21,7 @@ use simkit::SimTime;
 /// heartbeat pull (`Bound`, §III-A1), and the slave starts streaming when
 /// disk bandwidth and memory admit it (`Started`). Every migration ends in
 /// exactly one terminal state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanState {
     /// Queued at the master, not yet assigned a preferred source node.
     Pending,
@@ -138,7 +137,7 @@ pub mod cause {
 }
 
 /// One lifecycle transition of one migration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Simulated time of the transition.
     pub at: SimTime,
@@ -159,7 +158,6 @@ pub struct SpanEvent {
     /// Destination buffer tier, known from the `Bound` transition onward
     /// (tier-aware Algorithm 1 picks a tier × replica pair at bind).
     /// `None` before binding, and in every pre-tier export.
-    #[serde(default)]
     pub tier: Option<u8>,
 }
 
@@ -169,7 +167,7 @@ pub struct SpanEvent {
 /// Packed to 16 bytes: a dense pass over a 1M-entry queue records about
 /// three of these per entry, and every pass is kept until the report is
 /// taken.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateScore {
     /// Estimated finish time in seconds if this node is chosen.
     pub est_finish_secs: f64,
@@ -179,13 +177,12 @@ pub struct CandidateScore {
     pub rank: u16,
     /// Destination buffer tier behind this score (the winning half of
     /// the tier × replica pair; 0 = memory on every legacy stack).
-    #[serde(default)]
     pub tier: u8,
 }
 
 /// One scored entry of a [`ProvenanceBatch`]; its candidates are the next
 /// `candidates` elements of the batch's shared candidate column.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Row {
     migration: u64,
     block: u64,
@@ -204,7 +201,7 @@ struct Row {
 /// index, rescored / skipped counts) once for the whole batch. Readers see
 /// one [`ProvenanceView`] per row through [`ProvenanceBatch::iter`] or
 /// [`ProvenanceLog::iter`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProvenanceBatch {
     at: SimTime,
     pass: u64,
@@ -335,7 +332,7 @@ pub struct ProvenanceView<'a> {
 /// Every stamped retarget pass of a run, in pass order. Passes that
 /// rescored nothing are counted (they advance the pass index) but not
 /// stored.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     passes: Vec<ProvenanceBatch>,
 }

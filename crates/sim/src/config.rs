@@ -4,17 +4,24 @@ use dyrs::{DyrsConfig, MigrationPolicy};
 use dyrs_cluster::{ClusterSpec, InterferenceSchedule, NodeId};
 use dyrs_dfs::JobId;
 use dyrs_engine::EngineConfig;
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use simkit::SimTime;
 
 /// A file that exists in the DFS before the workload starts (all
 /// evaluation inputs are cold, pre-existing data).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSpec {
     /// Name (referenced by `JobSpec::input_files`).
     pub name: String,
     /// Size in bytes.
     pub bytes: u64,
+}
+
+impl FromJson for FileSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, FileSpec { name, bytes }))
+    }
 }
 
 impl FileSpec {
@@ -28,7 +35,7 @@ impl FileSpec {
 }
 
 /// Failure injections, applied at fixed instants (§III-C).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FailureEvent {
     /// DYRS master process restart: all soft migration state is lost.
     /// The process comes straight back on the same server ("we can
@@ -108,6 +115,29 @@ pub enum FailureEvent {
     },
 }
 
+impl FromJson for FailureEvent {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        use FailureEvent as F;
+        let (name, payload) = r.variant()?;
+        let event = match (name.as_str(), payload) {
+            ("MasterRestart", true) => read_json_fields!(r, F::MasterRestart { at }),
+            ("MasterServerFailure", true) => {
+                read_json_fields!(r, F::MasterServerFailure { at, reroute })
+            }
+            ("SlaveRestart", true) => read_json_fields!(r, F::SlaveRestart { at, node }),
+            ("KillJob", true) => read_json_fields!(r, F::KillJob { at, job }),
+            ("NodeDown", true) => read_json_fields!(r, F::NodeDown { at, node }),
+            ("NodeUp", true) => read_json_fields!(r, F::NodeUp { at, node }),
+            ("DrainNode", true) => read_json_fields!(r, F::DrainNode { at, node }),
+            ("JoinNode", true) => read_json_fields!(r, F::JoinNode { at, node }),
+            ("CheckpointRestart", true) => read_json_fields!(r, F::CheckpointRestart { at }),
+            _ => return Err(r.unknown_variant(&name, payload)),
+        };
+        r.end_variant(payload)?;
+        Ok(event)
+    }
+}
+
 /// Gray-fault injections: the node stays "up" the whole time — nothing
 /// crashes, nothing is marked dead — but some part of it silently stops
 /// keeping its promises. These are the failures the paper's fail-stop
@@ -115,7 +145,7 @@ pub enum FailureEvent {
 /// catch. Every fault flows through the fluid model, so degraded disks and
 /// frozen streams contend with real traffic instead of being modeled as
 /// instantaneous state flips.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GrayFault {
     /// The node's disk silently degrades to `factor_milli`/1000 of its
     /// spec bandwidth (a dying disk, a firmware retry storm). Every stream
@@ -178,6 +208,41 @@ pub enum GrayFault {
     },
 }
 
+impl FromJson for GrayFault {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        use GrayFault as G;
+        let (name, payload) = r.variant()?;
+        let fault = match (name.as_str(), payload) {
+            ("DiskDegrade", true) => {
+                read_json_fields!(
+                    r,
+                    G::DiskDegrade {
+                        at,
+                        node,
+                        factor_milli
+                    }
+                )
+            }
+            ("DiskRestore", true) => read_json_fields!(r, G::DiskRestore { at, node }),
+            ("HeartbeatLoss", true) => read_json_fields!(r, G::HeartbeatLoss { at, node, until }),
+            ("StuckStreams", true) => read_json_fields!(r, G::StuckStreams { at, node, until }),
+            ("Flap", true) => read_json_fields!(
+                r,
+                G::Flap {
+                    at,
+                    node,
+                    downtime,
+                    times,
+                    period,
+                }
+            ),
+            _ => return Err(r.unknown_variant(&name, payload)),
+        };
+        r.end_variant(payload)?;
+        Ok(fault)
+    }
+}
+
 impl GrayFault {
     /// When the fault (or its window) begins.
     pub fn at(&self) -> SimTime {
@@ -193,7 +258,7 @@ impl GrayFault {
 
 /// How master↔slave (and client↔master) interactions travel inside the
 /// simulator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WireMode {
     /// Direct method calls on the in-process state machines — the
     /// historical fast path.
@@ -207,8 +272,17 @@ pub enum WireMode {
     Loopback,
 }
 
+impl FromJson for WireMode {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.unit_variant(&[
+            ("InProcess", WireMode::InProcess),
+            ("Loopback", WireMode::Loopback),
+        ])
+    }
+}
+
 /// Everything needed to build a [`crate::Simulation`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Hardware.
     pub cluster: ClusterSpec,
@@ -232,7 +306,6 @@ pub struct SimConfig {
     pub failures: Vec<FailureEvent>,
     /// Gray-fault injections (degraded disks, lost heartbeats, frozen
     /// streams, flapping nodes).
-    #[serde(default)]
     pub gray_faults: Vec<GrayFault>,
     /// Hard wall on simulated time (safety net against runaway runs).
     pub horizon: SimTime,
@@ -242,15 +315,12 @@ pub struct SimConfig {
     /// Re-replicate blocks lost with a failed server (HDFS behaviour).
     /// The repair traffic contends with reads and migrations for disk
     /// bandwidth, exactly like production.
-    #[serde(default = "default_re_replication")]
     pub re_replication: bool,
     /// Grace period before repairs start after a node is confirmed down
     /// (HDFS waits ~10 min by default; shortened to simulation timescales).
-    #[serde(default = "default_re_replication_delay")]
     pub re_replication_delay: simkit::SimDuration,
     /// Whether protocol interactions go through the wire codec
     /// ([`WireMode::Loopback`]) or direct calls ([`WireMode::InProcess`]).
-    #[serde(default)]
     pub wire: WireMode,
     /// Admin-plane scrape cadence. Every `scrape_interval` of simulated
     /// time the driver snapshots the live observability state and pushes
@@ -259,7 +329,6 @@ pub struct SimConfig {
     /// is a pure read: it must not change the trace digest, any exported
     /// series, or the wire-frame accounting (tests/determinism.rs pins
     /// this). `None` disables scraping.
-    #[serde(default)]
     pub scrape_interval: Option<simkit::SimDuration>,
     /// Batch failure-detector processing instead of running a full
     /// detector sweep on every heartbeat arrival. With `n` nodes the
@@ -269,16 +338,34 @@ pub struct SimConfig {
     /// since the last pass in one O(n) scan. Off by default: the event
     /// stream (and thus every replay digest) is unchanged unless a run
     /// opts in.
-    #[serde(default)]
     pub batch_heartbeats: bool,
 }
 
-fn default_re_replication() -> bool {
-    true
-}
-
-fn default_re_replication_delay() -> simkit::SimDuration {
-    simkit::SimDuration::from_secs(30)
+impl FromJson for SimConfig {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        // A missing optional field takes the value `paper_default` gives it.
+        let d = SimConfig::paper_default(MigrationPolicy::Dyrs, 0);
+        Ok(read_json_fields!(r, SimConfig {
+            cluster,
+            policy,
+            dyrs,
+            engine,
+            block_size,
+            replication,
+            seed,
+            files,
+            interference,
+            failures,
+            gray_faults = d.gray_faults,
+            horizon,
+            mem_limit,
+            re_replication = d.re_replication,
+            re_replication_delay = d.re_replication_delay,
+            wire = d.wire,
+            scrape_interval = d.scrape_interval,
+            batch_heartbeats = d.batch_heartbeats,
+        }))
+    }
 }
 
 impl SimConfig {
@@ -299,8 +386,8 @@ impl SimConfig {
             gray_faults: Vec::new(),
             horizon: SimTime::from_secs(24 * 3600),
             mem_limit: None,
-            re_replication: default_re_replication(),
-            re_replication_delay: default_re_replication_delay(),
+            re_replication: true,
+            re_replication_delay: simkit::SimDuration::from_secs(30),
             wire: WireMode::default(),
             scrape_interval: None,
             batch_heartbeats: false,

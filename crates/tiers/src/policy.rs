@@ -1,12 +1,13 @@
 //! The seeded up/down-tier decision seam.
 
 use crate::spec::{TierId, TierStackSpec};
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
 use simkit::Rng;
 
-/// Which tiering policy a run uses. Serialized into `SimConfig`, so the
-/// variants are part of the experiment-config surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Which tiering policy a run uses. Read from scenario files as part of
+/// `SimConfig`, so the variants are part of the experiment-config
+/// surface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierPolicyKind {
     /// The DYRS reference-list baseline: memory is the only migration
     /// destination; pressure evictions demote one tier down when it has
@@ -18,6 +19,15 @@ pub enum TierPolicyKind {
     /// tier is a candidate migration destination, and a read served from
     /// a middle tier promotes the block back into memory when it fits.
     Hotness,
+}
+
+impl FromJson for TierPolicyKind {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        r.unit_variant(&[
+            ("Baseline", TierPolicyKind::Baseline),
+            ("Hotness", TierPolicyKind::Hotness),
+        ])
+    }
 }
 
 /// Up/down-tier decision maker. Owns a derived RNG stream so a future

@@ -1,11 +1,12 @@
 //! Static tier descriptions.
 
-use serde::{Deserialize, Serialize};
+use simkit::json::{self, FromJson, Reader};
+use simkit::read_json_fields;
 use std::fmt;
 
 /// Identifies one tier within a node's stack. Tier 0 is the fastest
 /// (memory); the highest index is the backing disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TierId(pub u8);
 
 impl TierId {
@@ -26,7 +27,7 @@ impl fmt::Display for TierId {
 }
 
 /// Static description of one storage tier on one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierSpec {
     /// Human-readable tier name ("mem", "nvme", "ssd", "hdd").
     pub name: String,
@@ -42,8 +43,19 @@ pub struct TierSpec {
     /// Bandwidth degradation per extra concurrent stream
     /// (`cap(n) = bw / (1 + d·(n−1))`); non-zero only for seek-bound
     /// media.
-    #[serde(default)]
     pub degradation: f64,
+}
+
+impl FromJson for TierSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, TierSpec {
+            name,
+            capacity,
+            read_bw,
+            write_bw,
+            degradation = 0.0,
+        }))
+    }
 }
 
 impl TierSpec {
@@ -65,10 +77,16 @@ const GIB_F: f64 = (1u64 << 30) as f64;
 /// A node's storage hierarchy, fastest tier first. The last tier is the
 /// backing disk; every tier above it is a buffer tier with finite
 /// capacity that can hold migrated or demoted block copies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierStackSpec {
     /// Tiers fastest→slowest; at least two (a buffer over a backing disk).
     pub tiers: Vec<TierSpec>,
+}
+
+impl FromJson for TierStackSpec {
+    fn read(r: &mut Reader<'_>) -> Result<Self, json::Error> {
+        Ok(read_json_fields!(r, TierStackSpec { tiers }))
+    }
 }
 
 impl TierStackSpec {

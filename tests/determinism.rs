@@ -324,19 +324,36 @@ fn trace_exports_are_byte_identical_across_reruns() {
             "an obs-enabled drill run must record spans and provenance"
         );
         // Rerun equality cannot catch a recorder change that renders both
-        // runs differently from before, so the provenance bytes are pinned
-        // outright: FNV-1a over the drill's whole provenance.jsonl. Any
+        // runs differently from before, so every export's bytes are pinned
+        // outright: (length, FNV-1a) over the drill's whole file. Any
         // change to these bytes changes the trace format readers see.
-        let prov = a.provenance_jsonl();
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in prov.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let pin = |s: String| {
+            let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+            for b in s.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            (s.len(), h)
+        };
         assert_eq!(
-            (prov.len(), h),
+            pin(a.provenance_jsonl()),
             (2351, 0xF379_59F7_59F1_BC80),
             "pinned provenance.jsonl bytes changed"
+        );
+        assert_eq!(
+            pin(a.spans_jsonl()),
+            (4807, 0x8C70_F9E0_BFEF_57ED),
+            "pinned spans.jsonl bytes changed"
+        );
+        assert_eq!(
+            pin(a.metrics_jsonl()),
+            (109_359, 0x0E2C_87DC_A52E_03BC),
+            "pinned metrics.jsonl bytes changed"
+        );
+        assert_eq!(
+            pin(a.chrome_trace_json()),
+            (659_689, 0x7BA3_9CD8_152B_8963),
+            "pinned trace.json bytes changed"
         );
     }
 }
